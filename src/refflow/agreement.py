@@ -155,15 +155,21 @@ def _entry_value(entry):
     return entry
 
 
-def _env_inverse(env: dict, location: Location) -> tuple:
-    return tuple(sorted(name for name, entry in env.items() if _entry_value(entry) == location))
+def _env_inverse(env: dict) -> dict:
+    """Every location the environment holds, with the sorted names holding it."""
+
+    holders: dict = {}
+    for name, entry in env.items():
+        value = _entry_value(entry)
+        if isinstance(value, Location):
+            holders.setdefault(value, []).append(name)
+    return {location: tuple(sorted(names)) for location, names in holders.items()}
 
 
-def _block_of(alias_base: tuple, subject):
-    for block in alias_base:
-        if subject in block:
-            return block
-    return None
+def _block_map(alias_base: tuple) -> dict:
+    """Each subject of the alias base, with the block it belongs to."""
+
+    return {subject: block for block in alias_base for subject in block}
 
 
 def _delta_subjects(delta: frozenset) -> frozenset:
@@ -188,26 +194,21 @@ def _gamma_ivars(gamma: TypeEnv) -> tuple:
     )
 
 
-def _show_pair(pair: DepPair) -> str:
-    locs = ", ".join(f"{loc}@{pt}" for loc, pt in sorted(pair.locs, key=lambda a: (a[0].index, a[1])))
-    vars_ = ", ".join(f"{name}@{pt}" for name, pt in sorted(pair.vars))
-    return f"({{{locs}}}, {{{vars_}}})"
-
-
 # ---------------------------------------------------------------------------
 # The agreement clauses
 # ---------------------------------------------------------------------------
 
 
-def _dep_agree(report, env, pair: DepPair, delta: frozenset, alias_base: tuple, where: str):
+def _dep_agree(report, holders_of: dict, pair: DepPair, delta: frozenset, blocks: dict,
+               where: str):
     clause = report.clauses["dependency"]
     for atom in sorted(pair.vars):
         clause.check(atom in delta, f"{where}: variable occurrence {show_atom(atom)} not in delta")
     represented = _delta_subjects(delta)
     for location, point in sorted(pair.locs, key=lambda a: (a[0].index, a[1])):
-        holders = _env_inverse(env, location)
+        holders = holders_of.get(location, ())
         if holders:
-            block = _block_of(alias_base, holders[0])
+            block = blocks.get(holders[0])
             ok = (
                 block is not None
                 and all(name in block for name in holders)
@@ -225,8 +226,8 @@ def _dep_agree(report, env, pair: DepPair, delta: frozenset, alias_base: tuple, 
             )
 
 
-def _alias_agree(report, env, dep: DepState, location: Location, gamma: TypeEnv,
-                 kappa: frozenset, alias_base: tuple, where: str):
+def _alias_agree(report, holders_of: dict, dep: DepState, location: Location, gamma: TypeEnv,
+                 kappa: frozenset, blocks: dict, where: str):
     clause = report.clauses["alias"]
     kappa_internals = sorted((s for s in kappa if isinstance(s, IVar)), key=subject_key)
     covering = _covering_ivars(dep, gamma, location, kappa_internals)
@@ -236,9 +237,9 @@ def _alias_agree(report, env, dep: DepState, location: Location, gamma: TypeEnv,
     )
     if not covering:
         return
-    holders = _env_inverse(env, location)
+    holders = holders_of.get(location, ())
     if holders:
-        block = _block_of(alias_base, holders[0])
+        block = blocks.get(holders[0])
         ok = (
             block is not None
             and all(name in block for name in holders)
@@ -249,23 +250,23 @@ def _alias_agree(report, env, dep: DepState, location: Location, gamma: TypeEnv,
             f"{where}: holders {list(holders)} of {location} share no block with its internal variable",
         )
     else:
-        ok = any(_block_of(alias_base, internal) is not None for internal in covering)
+        ok = any(internal in blocks for internal in covering)
         clause.check(ok, f"{where}: covering internal variable of {location} is in no block")
 
 
-def _type_agree(report, env, value, dep: DepState, pair: DepPair, gamma: TypeEnv,
-                ty: Type, alias_base: tuple, where: str):
+def _type_agree(report, holders_of: dict, value, dep: DepState, pair: DepPair, gamma: TypeEnv,
+                ty: Type, blocks: dict, where: str):
     if isinstance(value, Location):
         if not isinstance(ty, Base):
             report.clauses["type"].check(False, f"{where}: location {value} typed as arrow {ty}")
             return
-        _dep_agree(report, env, pair, ty.delta, alias_base, where)
-        _alias_agree(report, env, dep, value, gamma, ty.kappa, alias_base, where)
+        _dep_agree(report, holders_of, pair, ty.delta, blocks, where)
+        _alias_agree(report, holders_of, dep, value, gamma, ty.kappa, blocks, where)
         return
     if isinstance(ty, Arrow):
-        _dep_agree(report, env, pair, ty.pending, alias_base, where)
+        _dep_agree(report, holders_of, pair, ty.pending, blocks, where)
         return
-    _dep_agree(report, env, pair, ty.delta, alias_base, where)
+    _dep_agree(report, holders_of, pair, ty.delta, blocks, where)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +292,7 @@ def dep_agree(env: dict, pair: DepPair, delta: frozenset, alias_base: tuple) -> 
     """Whether a static dependency set covers a runtime dependency pair."""
 
     report = AgreementReport()
-    _dep_agree(report, env, pair, delta, alias_base, "query")
+    _dep_agree(report, _env_inverse(env), pair, delta, _block_map(alias_base), "query")
     return report.clauses["dependency"].holds
 
 
@@ -300,7 +301,9 @@ def alias_agree(env: dict, dep: DepState, location: Location, gamma: TypeEnv,
     """Whether the typing's alias information covers a location's story."""
 
     report = AgreementReport()
-    _alias_agree(report, env, dep, location, gamma, kappa, alias_base, "query")
+    _alias_agree(
+        report, _env_inverse(env), dep, location, gamma, kappa, _block_map(alias_base), "query"
+    )
     return report.clauses["alias"].holds
 
 
@@ -311,22 +314,10 @@ def type_agree(env: dict, value, dep: DepState, pair: DepPair, gamma: TypeEnv,
     if isinstance(value, Location) and isinstance(ty, Arrow):
         raise ShapeMismatch(value, ty)
     report = AgreementReport()
-    _type_agree(report, env, value, dep, pair, gamma, ty, alias_base, "query")
+    _type_agree(
+        report, _env_inverse(env), value, dep, pair, gamma, ty, _block_map(alias_base), "query"
+    )
     return report.clauses["dependency"].holds and report.clauses["alias"].holds and report.clauses["type"].holds
-
-
-def env_agree(env: dict, sto: dict, dep: DepState, gamma: TypeEnv, pi: Pi,
-              alias_base: tuple, *, at: int | None = None,
-              loc_origin: dict | None = None) -> AgreementReport:
-    """All six clauses on one state, as a report."""
-
-    report = AgreementReport()
-    judge = _Judge(None, gamma, pi, alias_base, report)
-    judge.check_env(env, dep, "state")
-    judge.check_store(env, sto, dep, "state")
-    judge.check_order(dep)
-    judge.check_ip(dep, at=at)
-    return report.settle()
 
 
 # ---------------------------------------------------------------------------
@@ -363,17 +354,16 @@ def _fv_by_point(occ: Occurrence, table: dict) -> frozenset:
 class _Judge:
     """Applies the clauses to events as a run unfolds."""
 
-    def __init__(self, analysis: Analysis | None, gamma: TypeEnv, pi: Pi,
-                 alias_base: tuple, report: AgreementReport):
+    def __init__(self, analysis: Analysis, pi: Pi, alias_base: tuple, report: AgreementReport):
         self.analysis = analysis
-        self.gamma = gamma
+        self.gamma = analysis.gamma
         self.pi = pi
-        self.alias_base = alias_base
         self.report = report
-        self.pi_closure = pi.closure() if pi is not None else frozenset()
+        # per-program indices, built once: Γ is complete before the run starts
+        self.ivars = _gamma_ivars(self.gamma)
+        self.blocks = _block_map(alias_base)
         self.fv_table: dict = {}
-        if analysis is not None:
-            _fv_by_point(analysis.program, self.fv_table)
+        _fv_by_point(analysis.program, self.fv_table)
         self.stack: list = []
         self.seen_env: set = set()
         self.seen_store: set = set()
@@ -400,14 +390,14 @@ class _Judge:
                 admitted, f"{where}: value of {name} inhabits none of its recorded types"
             )
 
-    def check_store(self, env: dict, sto: dict, dep: DepState, where: str):
+    def check_store(self, holders_of: dict, sto: dict, dep: DepState, where: str):
         for location in sorted(sto, key=lambda loc: loc.index):
             current = dep.latest.get(location)
             key = (location, current)
             if key in self.seen_store:
                 continue
             self.seen_store.add(key)
-            covering = _covering_ivars(dep, self.gamma, location, _gamma_ivars(self.gamma))
+            covering = _covering_ivars(dep, self.gamma, location, self.ivars)
             self.report.clauses["alias"].check(
                 bool(covering),
                 f"{where}: no internal variable covers the binding points of {location}",
@@ -432,15 +422,15 @@ class _Judge:
             )
             written_pair = dep.w.get((location, current), DepPair())
             _type_agree(
-                self.report, env, content, dep, written_pair, self.gamma,
-                stored_ty, self.alias_base, f"{where}: {location}@{current}",
+                self.report, holders_of, content, dep, written_pair, self.gamma,
+                stored_ty, self.blocks, f"{where}: {location}@{current}",
             )
 
     def check_order(self, dep: DepState):
         clause = self.report.clauses["order"]
         for edge in sorted(dep.edges):
             clause.check(
-                edge in self.pi_closure or edge in self.pi.edges,
+                edge in self.pi.edges or self.pi.precedes(*edge),
                 f"realized edge {edge} missing from the approximated order",
             )
 
@@ -462,7 +452,7 @@ class _Judge:
             if atom is None:
                 continue
             _, sem_point = atom
-            candidates = _covering_ivars(dep, self.gamma, location, _gamma_ivars(self.gamma))
+            candidates = _covering_ivars(dep, self.gamma, location, self.ivars)
             queries = [sem_point]
             if at is not None:
                 queries.append(at)
@@ -508,12 +498,13 @@ class _Judge:
         if isinstance(event.value, Location) and not isinstance(ty, Base):
             self.report.clauses["type"].check(False, f"{where}: location typed as arrow {ty}")
             return
+        holders_of = _env_inverse(event.env)
         _type_agree(
-            self.report, event.env, event.value, event.dep, event.pair,
-            self.gamma, ty, self.alias_base, where,
+            self.report, holders_of, event.value, event.dep, event.pair,
+            self.gamma, ty, self.blocks, where,
         )
         self.check_env(event.env, event.dep, where)
-        self.check_store(event.env, event.store, event.dep, where)
+        self.check_store(holders_of, event.store, event.dep, where)
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +530,7 @@ def check_soundness(
     pi = approximate_pi(program)
     alias_base = build_alias_base(program)
     report = AgreementReport()
-    judge = _Judge(analysis, analysis.gamma, pi, alias_base, report)
+    judge = _Judge(analysis, pi, alias_base, report)
     try:
         outcome = evaluate(program, budget=budget, on_step=judge.on_step, tamper=tamper)
     except EvalBudgetExceeded:
@@ -550,6 +541,7 @@ def check_soundness(
     except EvalError as err:
         report.outcome = "fail"
         report.note = f"runtime error on an accepted program: {err}"
+        report.steps = err.steps
         return report
     report.steps = outcome.steps
     report.clauses["type"].check(

@@ -168,22 +168,6 @@ class DepState:
 
         return a != b and self.reachable(a, b)
 
-    def closure(self) -> frozenset:
-        """All strictly ordered pairs, transitively."""
-
-        out = set()
-        for start in self._succ:
-            stack = list(self._succ[start])
-            seen = set()
-            while stack:
-                node = stack.pop()
-                if node in seen:
-                    continue
-                seen.add(node)
-                out.add((start, node))
-                stack.extend(self._succ.get(node, ()))
-        return frozenset(out)
-
     # -- bindings --------------------------------------------------------------
 
     def bind(self, subject, point: int, pair: DepPair, incoming, threading: bool = True):
@@ -216,24 +200,6 @@ class DepState:
 
     def subjects(self) -> frozenset:
         return frozenset(self.latest)
-
-
-def transitive_closure(edges) -> frozenset:
-    succ: dict = {}
-    for a, b in edges:
-        succ.setdefault(a, set()).add(b)
-    out = set()
-    for start in succ:
-        stack = list(succ[start])
-        seen = set()
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            out.add((start, node))
-            stack.extend(succ.get(node, ()))
-    return frozenset(out)
 
 
 def points(obj) -> frozenset:
@@ -272,9 +238,12 @@ def induced_dependency_edges(w: dict) -> frozenset:
 
 
 class EvalError(Exception):
+    """A run-time failure; ``steps`` is how many steps the run had taken."""
+
     def __init__(self, message: str, point: int):
         super().__init__(f"{message} (at point {point})")
         self.point = point
+        self.steps = 0
 
 
 class UnboundVariable(EvalError):
@@ -422,6 +391,13 @@ class _Evaluator:
         loc = Location(self.next_location)
         self.next_location += 1
         return loc
+
+    def run(self, occ: Occurrence, env: dict, incoming):
+        try:
+            return self.eval(occ, env, incoming)
+        except EvalError as err:
+            err.steps = self.steps
+            raise
 
     def notify(self, event: StepEvent):
         if self.on_step is not None:
@@ -582,7 +558,7 @@ def evaluate(
     """Run the program and collect w, the realized order, and the result pair."""
 
     machine = _Evaluator(budget, on_step, tamper)
-    value, pair = machine.eval(program, _seed_env(env), None)
+    value, pair = machine.run(program, _seed_env(env), None)
     return EvalOutcome(
         value=value,
         pair=pair,
@@ -613,7 +589,7 @@ def eval_occurrence(
     """
 
     machine = _Evaluator(budget, on_step, tamper, store=store, dep=dep)
-    value, pair = machine.eval(occ, _seed_env(env), incoming)
+    value, pair = machine.run(occ, _seed_env(env), incoming)
     return EvalOutcome(
         value=value,
         pair=pair,

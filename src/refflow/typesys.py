@@ -19,12 +19,16 @@ references, and recursive descents are rejected.
 
 The module also owns the approximated order: the Pi graph built by
 :mod:`refflow.approx`, its maximal chains, and the chain-wise
-interpretation of a subject's binding points.
+interpretation of a subject's binding points.  Pi's visit list is a
+topological order of its edges, so one pass over it gives every point
+its strict ancestors as a Python-int bitset and ``precedes`` is a bit
+test (Agrawal, Borgida & Jagadish, SIGMOD 1989).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .syntax import (
     Abstraction,
@@ -236,12 +240,14 @@ class TypeEnv:
     """Append-only history of typed bindings, with a current view.
 
     Keys are atomic occurrences (subject, point); ``latest`` tracks the
-    point each subject was most recently bound at along the walk.
+    point each subject was most recently bound at along the walk, and
+    ``_points`` every point each subject was bound at.
     """
 
     def __init__(self):
         self.entries: dict = {}
         self.latest: dict = {}
+        self._points: dict = {}
 
     def bind(self, subject, point: int, ty: Type):
         key = (subject, point)
@@ -249,6 +255,7 @@ class TypeEnv:
             self.entries[key] = type_union(self.entries[key], ty, point)
         else:
             self.entries[key] = ty
+            self._points[subject] = self._points.get(subject, frozenset()) | {point}
         self.latest[subject] = point
 
     def current(self, subject) -> Type | None:
@@ -261,10 +268,10 @@ class TypeEnv:
         return self.entries.get((subject, point))
 
     def bound_points(self, subject) -> frozenset:
-        return frozenset(pt for subj, pt in self.entries if subj == subject)
+        return self._points.get(subject, frozenset())
 
     def subjects(self) -> frozenset:
-        return frozenset(subj for subj, _ in self.entries)
+        return frozenset(self._points)
 
     def items(self):
         return sorted(self.entries.items(), key=lambda kv: atom_key(kv[0]))
@@ -276,81 +283,84 @@ class TypeEnv:
 
 
 class Pi:
-    """Happens-before approximation: cover edges over visited points."""
+    """Happens-before approximation: cover edges over visited points.
+
+    ``visit`` lists the points in the order the flow walk reached them,
+    and every edge runs forward along it, so ``visit`` is a topological
+    order.  On first use one pass over it builds ``index`` (point to
+    position in ``visit``) and ``anc`` (point to the Python-int bitset of
+    its strict ancestors, bit ``index[a]`` set when ``a`` precedes it);
+    an edge running against the visit order raises ValueError.  Points
+    outside ``visit`` are unordered.
+    """
 
     def __init__(self, visit: tuple, edges: frozenset):
         self.visit = visit
         self.edges = edges
         self.final = visit[-1] if visit else None
-        self._succ: dict = {}
+        self.points = frozenset(visit)
         self._pred: dict = {}
         for a, b in edges:
-            self._succ.setdefault(a, set()).add(b)
             self._pred.setdefault(b, set()).add(a)
+
+    @cached_property
+    def _reach(self) -> tuple:
+        """(index, anc), built in one pass over the visit order."""
+
+        index: dict = {}
+        anc: dict = {}
+        for position, point in enumerate(self.visit):
+            index[point] = position
+            bits = 0
+            for pred in self._pred.get(point, ()):
+                # the flow walker only adds edges from a visited point to a later one
+                if pred not in anc:
+                    raise ValueError(f"edge {(pred, point)} runs against the visit order")
+                bits |= anc[pred] | (1 << index[pred])
+            anc[point] = bits
+        outside = self._pred.keys() - anc.keys()
+        if outside:
+            raise ValueError(f"edges end at points outside the visit order: {sorted(outside)}")
+        return index, anc
 
     def precedes(self, a: int, b: int) -> bool:
         """a strictly precedes b, transitively."""
 
-        if a == b:
-            return False
-        stack = [a]
-        seen = {a}
-        while stack:
-            node = stack.pop()
-            for nxt in self._succ.get(node, ()):
-                if nxt == b:
-                    return True
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return False
+        index, anc = self._reach
+        return a != b and a in index and b in anc and anc[b] >> index[a] & 1 == 1
 
     def at_or_before(self, a: int, b: int) -> bool:
         return a == b or self.precedes(a, b)
 
     def closure(self) -> frozenset:
-        out = set()
-        for start in self._succ:
-            stack = list(self._succ[start])
-            seen = set()
-            while stack:
-                node = stack.pop()
-                if node in seen:
-                    continue
-                seen.add(node)
-                out.add((start, node))
-                stack.extend(self._succ.get(node, ()))
-        return frozenset(out)
+        """Every strictly ordered pair (a, b)."""
+
+        index, anc = self._reach
+        return frozenset(
+            (a, b)
+            for b in self.visit
+            for a in self.visit[: index[b]]
+            if anc[b] >> index[a] & 1
+        )
 
     def predecessors(self, point: int):
         return sorted(self._pred.get(point, ()))
-
-    @property
-    def points(self) -> frozenset:
-        out = set(self.visit)
-        for a, b in self.edges:
-            out.add(a)
-            out.add(b)
-        return frozenset(out)
 
 
 def _reduced_predecessors(pi: Pi) -> dict:
     """Predecessor lists of the transitive reduction of the order.
 
-    An edge is dropped when a longer path connects the same endpoints;
+    An edge (a, b) is dropped when a longer path connects its endpoints,
+    which happens exactly when a precedes another predecessor of b;
     chains enumerated over what remains are exactly the maximal chains
     of the order's closure.
     """
 
-    closure = pi.closure()
-    reachable = set(closure)
     pred: dict = {}
-    for a, b in sorted(pi.edges):
-        mids = (c for c in pi.points if c != a and c != b)
-        if any((a, c) in reachable and (c, b) in reachable for c in mids):
-            continue
-        pred.setdefault(b, []).append(a)
-    return {node: sorted(parents) for node, parents in pred.items()}
+    for node in pi._pred:
+        parents = pi.predecessors(node)
+        pred[node] = [a for a in parents if not any(pi.precedes(a, c) for c in parents)]
+    return pred
 
 
 def p_chains(pi: Pi, point: int, limit: int = 100_000) -> frozenset:

@@ -93,6 +93,16 @@ def test_check_passes_on_reference_program():
     assert out.count("holds") == 7  # six clauses and the binding lemma
 
 
+def test_check_runtime_error_reports_steps():
+    """[DERIVED] A run that fails at run time still reports the steps it
+    took: the case, the subtraction and its two operands."""
+    code, out = run_cli(["check", "--json", "--expr", "(case (- 1 5) [0 -> 1])"])
+    doc = json.loads(out)
+    assert code == 1
+    assert doc["outcome"] == "fail" and "no pattern matches -4" in doc["note"]
+    assert doc["steps"] == 4
+
+
 def test_fuzz_summary_and_exit():
     """[TRIVIAL] fuzz prints one record per seed plus a summary."""
     code, out = run_cli(["fuzz", "--seed", "3", "--count", "5", "--size", "6"])

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from refflow.agreement import gen_program
 from refflow.semantics import Location
 from refflow.syntax import parse
 from refflow.typesys import (
@@ -23,6 +24,7 @@ from refflow.typesys import (
     TypeEnv,
     UndefinedUnion,
     UnknownPoint,
+    _reduced_predecessors,
     ip_type,
     linear_use_check,
     p_chains,
@@ -190,6 +192,118 @@ def test_ip_type_on_reference_program(alias_chain):
     its rewrite entry."""
     analysis = typecheck(alias_chain)
     assert ip_type(V2, analysis.gamma, analysis.pi, at=12) == frozenset({(V2, 8)})
+
+
+def test_ip_type_matches_per_chain_definition():
+    """[DERIVED] On generated programs, for every internal variable and
+    query point, the backward search equals the per-chain definition:
+    the greatest binding on each maximal chain ending at the query.
+    Programs whose chains exceed p_chains' cap are skipped and counted."""
+    programs = 200
+    skipped = 0
+    for seed in range(programs):
+        analysis = typecheck(gen_program(seed, 1 + seed % 30))
+        gamma, pi = analysis.gamma, analysis.pi
+        try:
+            chains = {at: p_chains(pi, at) for at in sorted(pi.points)}
+        except RuntimeError:
+            skipped += 1
+            continue
+        for internal in (s for s in gamma.subjects() if isinstance(s, IVar)):
+            bound = gamma.bound_points(internal)
+            for at, at_chains in chains.items():
+                tops = (next((p for p in reversed(c) if p in bound), None) for c in at_chains)
+                expected = frozenset((internal, p) for p in tops if p is not None)
+                assert ip_type(internal, gamma, pi, at=at) == expected, (seed, internal, at)
+    assert skipped <= programs // 10
+
+
+# ---------------------------------------------------------------------------
+# The order's bitsets against depth-first search
+# ---------------------------------------------------------------------------
+
+
+def dfs_closure(edges) -> frozenset:
+    """Reference: every pair joined by a path of edges, by depth-first search."""
+    succ: dict = {}
+    for a, b in edges:
+        succ.setdefault(a, set()).add(b)
+    pairs = set()
+    for start in succ:
+        stack, seen = list(succ[start]), set()
+        while stack:
+            node = stack.pop()
+            if node not in seen:
+                seen.add(node)
+                pairs.add((start, node))
+                stack.extend(succ.get(node, ()))
+    return frozenset(pairs)
+
+
+def reference_reduced_predecessors(pi: Pi, closure: frozenset) -> dict:
+    """Reference: keep an edge unless some third point lies between its ends."""
+    pred: dict = {}
+    for a, b in sorted(pi.edges):
+        mids = (c for c in pi.points if c != a and c != b)
+        if not any((a, c) in closure and (c, b) in closure for c in mids):
+            pred.setdefault(b, []).append(a)
+    return pred
+
+
+def assert_order_matches_dfs(pi: Pi):
+    closure = dfs_closure(pi.edges)
+    assert pi.closure() == closure
+    for a in pi.points:
+        for b in pi.points:
+            assert pi.precedes(a, b) == ((a, b) in closure), (a, b)
+    assert _reduced_predecessors(pi) == reference_reduced_predecessors(pi, closure)
+
+
+BRANCHING_PIS = (
+    # a diamond with a redundant shortcut, then a tail
+    Pi((1, 2, 3, 4, 5), frozenset({(1, 2), (1, 3), (2, 4), (3, 4), (1, 4), (4, 5)})),
+    # two sequential forks and joins, plus a point no edge touches
+    Pi((1, 2, 3, 4, 5, 6, 7, 8),
+       frozenset({(1, 2), (1, 3), (2, 4), (3, 4), (4, 5), (4, 6), (5, 7), (6, 7)})),
+    # visit order differs from numeric order
+    Pi((9, 2, 7, 1), frozenset({(9, 7), (2, 7), (7, 1), (9, 1)})),
+)
+
+
+@pytest.mark.parametrize("pi", BRANCHING_PIS)
+def test_order_matches_dfs_on_branching_orders(pi):
+    """[DERIVED] precedes, closure and the reduction agree with DFS."""
+    assert_order_matches_dfs(pi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.permutations(range(12)),
+    st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=30),
+)
+def test_order_matches_dfs_on_random_forward_edges(visit, positions):
+    """[DERIVED] Any edge set that runs forward along the visit order
+    yields the same order as DFS."""
+    edges = frozenset((visit[i], visit[j]) for i, j in positions if i < j)
+    assert_order_matches_dfs(Pi(tuple(visit), edges))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000), st.integers(min_value=1, max_value=30))
+def test_order_matches_dfs_on_generated_programs(seed, size):
+    """[DERIVED] The flow walk's orders agree with DFS too."""
+    assert_order_matches_dfs(typecheck(gen_program(seed, size)).pi)
+
+
+def test_backward_edge_raises():
+    """[TRIVIAL] An edge against the visit order, or ending outside it,
+    is refused at first use; points outside the visit stay unordered."""
+    with pytest.raises(ValueError):
+        Pi((1, 2), frozenset({(2, 1)})).precedes(1, 2)
+    with pytest.raises(ValueError):
+        Pi((1, 2), frozenset({(1, 3)})).closure()
+    pi = Pi((1, 2), frozenset({(1, 2)}))
+    assert not pi.precedes(1, 99) and not pi.precedes(99, 2)
 
 
 # ---------------------------------------------------------------------------
