@@ -25,9 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .approx import approximate_pi, build_alias_base
 from .semantics import (
-    Closure,
     DepPair,
     DepState,
     EvalBudgetExceeded,
@@ -71,33 +69,27 @@ from .typesys import (
 CLAUSES = ("dependency", "alias", "type", "environment", "order", "ip")
 
 
-class ShapeMismatch(Exception):
-    """A location met an arrow type: no agreement clause admits that."""
-
-    def __init__(self, value, ty):
-        super().__init__(f"value {value} cannot agree with arrow type {ty}")
-
-
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class ClauseVerdict:
-    holds: bool = True
     activity: int = 0
-    witnesses: tuple = ()
+    witnesses: tuple = ()  # the first five failures; the first always lands
+
+    @property
+    def holds(self) -> bool:
+        return not self.witnesses
 
     def check(self, ok: bool, witness: str):
         self.activity += 1
-        if not ok:
-            self.holds = False
-            if len(self.witnesses) < 5:
-                self.witnesses = self.witnesses + (witness,)
+        if not ok and len(self.witnesses) < 5:
+            self.witnesses = self.witnesses + (witness,)
 
 
-@dataclass
+@dataclass(slots=True)
 class AgreementReport:
     outcome: str = "pass"  # pass | fail | inconclusive
     clauses: dict = field(default_factory=lambda: {name: ClauseVerdict() for name in CLAUSES})
@@ -296,30 +288,6 @@ def dep_agree(env: dict, pair: DepPair, delta: frozenset, alias_base: tuple) -> 
     return report.clauses["dependency"].holds
 
 
-def alias_agree(env: dict, dep: DepState, location: Location, gamma: TypeEnv,
-                kappa: frozenset, alias_base: tuple) -> bool:
-    """Whether the typing's alias information covers a location's story."""
-
-    report = AgreementReport()
-    _alias_agree(
-        report, _env_inverse(env), dep, location, gamma, kappa, _block_map(alias_base), "query"
-    )
-    return report.clauses["alias"].holds
-
-
-def type_agree(env: dict, value, dep: DepState, pair: DepPair, gamma: TypeEnv,
-               ty: Type, alias_base: tuple) -> bool:
-    """Whether a runtime value-with-pair agrees with a static type."""
-
-    if isinstance(value, Location) and isinstance(ty, Arrow):
-        raise ShapeMismatch(value, ty)
-    report = AgreementReport()
-    _type_agree(
-        report, _env_inverse(env), value, dep, pair, gamma, ty, _block_map(alias_base), "query"
-    )
-    return report.clauses["dependency"].holds and report.clauses["alias"].holds and report.clauses["type"].holds
-
-
 # ---------------------------------------------------------------------------
 # The step-by-step judge
 # ---------------------------------------------------------------------------
@@ -354,14 +322,14 @@ def _fv_by_point(occ: Occurrence, table: dict) -> frozenset:
 class _Judge:
     """Applies the clauses to events as a run unfolds."""
 
-    def __init__(self, analysis: Analysis, pi: Pi, alias_base: tuple, report: AgreementReport):
+    def __init__(self, analysis: Analysis, report: AgreementReport):
         self.analysis = analysis
         self.gamma = analysis.gamma
-        self.pi = pi
+        self.pi = analysis.pi
         self.report = report
         # per-program indices, built once: Γ is complete before the run starts
         self.ivars = _gamma_ivars(self.gamma)
-        self.blocks = _block_map(alias_base)
+        self.blocks = _block_map(analysis.alias_base)
         self.fv_table: dict = {}
         _fv_by_point(analysis.program, self.fv_table)
         self.stack: list = []
@@ -527,10 +495,8 @@ def check_soundness(
     """
 
     analysis = typecheck(program, mutation)
-    pi = approximate_pi(program)
-    alias_base = build_alias_base(program)
     report = AgreementReport()
-    judge = _Judge(analysis, pi, alias_base, report)
+    judge = _Judge(analysis, report)
     try:
         outcome = evaluate(program, budget=budget, on_step=judge.on_step, tamper=tamper)
     except EvalBudgetExceeded:
@@ -549,7 +515,7 @@ def check_soundness(
         "result value does not inhabit the result type",
     )
     judge.check_order(outcome.dep)
-    judge.check_ip(outcome.dep, at=pi.final)
+    judge.check_ip(outcome.dep, at=judge.pi.final)
     return report.settle()
 
 

@@ -39,7 +39,7 @@ from .syntax import (
     Ref,
     Variable,
 )
-from .typesys import IVar, Pi, subject_key
+from .typesys import IVar, Pi, _resolve_abstraction, subject_key
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +114,7 @@ class _FlowWalker:
                 return p, body_desc
 
             case LetRec(name, bound, body):
-                lam = _peel(bound)
+                lam = _resolve_abstraction(bound)
                 if lam is not None:
                     inner_scope = {**scope, name: _Descriptor(origins=frozenset({lam.point}))}
                     bound_last, _ = self.walk(bound, prev, inner_scope)
@@ -199,34 +199,33 @@ class _FlowWalker:
         raise TypeError(f"unknown expression {expr!r}")
 
 
-def _peel(occ: Occurrence):
-    if isinstance(occ.expr, Abstraction):
-        return occ
-    if isinstance(occ.expr, Group):
-        return _peel(occ.expr.inner)
-    return None
+def _walked(program: Occurrence, walker: _FlowWalker | None) -> _FlowWalker:
+    """``walker`` after it has walked ``program``; a fresh walker when None.
 
+    A walker shared between the entry points below walks only on the
+    first of them, so the entry point that walks is charged for it.
+    """
 
-def _run_walk(program: Occurrence) -> _FlowWalker:
-    walker = _FlowWalker()
-    walker.walk(program, None, {})
+    if walker is None:
+        walker = _FlowWalker()
+    if not walker.visit:
+        walker.walk(program, None, {})
     return walker
 
 
-def binding_sites(program: Occurrence) -> tuple:
+def binding_sites(program: Occurrence, walker: _FlowWalker | None = None) -> tuple:
     """Every binding the run would perform, as (name, binding point)
     pairs in evaluation order: let and let rec binders at their bound
     expression's point, parameters at their argument's point, pattern
     binders at their scrutinee's point."""
 
-    walker = _run_walk(program)
-    return tuple(walker.bind_sites)
+    return tuple(_walked(program, walker).bind_sites)
 
 
-def approximate_pi(program: Occurrence) -> Pi:
+def approximate_pi(program: Occurrence, walker: _FlowWalker | None = None) -> Pi:
     """The static happens-before order over the program's points."""
 
-    walker = _run_walk(program)
+    walker = _walked(program, walker)
     return Pi(tuple(walker.visit), frozenset(walker.edges))
 
 
@@ -279,7 +278,7 @@ def _subjects_of(program: Occurrence) -> list:
     return sorted(out, key=subject_key)
 
 
-def build_alias_base(program: Occurrence) -> tuple:
+def build_alias_base(program: Occurrence, walker: _FlowWalker | None = None) -> tuple:
     """Partition the program's variables and internal variables into
     alias blocks.
 
@@ -290,7 +289,7 @@ def build_alias_base(program: Occurrence) -> tuple:
     back sorted for stable output.
     """
 
-    walker = _run_walk(program)
+    walker = _walked(program, walker)
     parent: dict = {}
 
     def find(subject):

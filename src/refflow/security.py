@@ -92,7 +92,7 @@ def default_labeling(program: Occurrence, stride: int = 3) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Flow:
     """One witnessed leak: a high occurrence reaching a low binding."""
 
@@ -113,7 +113,7 @@ class Flow:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NoninterferenceVerdict:
     ok: bool
     flows: tuple
@@ -179,7 +179,7 @@ def check_noninterference(program: Occurrence, labeling: dict) -> Noninterferenc
     pi = analysis.pi
     flows: set = set()
     chain_flows: set = set()
-    for binder, binding in binding_sites(program):
+    for binder, binding in analysis.binding_sites:
         if level_of(labeling, binder) != LOW:
             continue
         reach = expanded_origins(analysis.type_of[binding], analysis.gamma, pi, binding)
@@ -190,10 +190,11 @@ def check_noninterference(program: Occurrence, labeling: dict) -> Noninterferenc
             flows.add(flow)
             if pi.at_or_before(point, binding):
                 chain_flows.add(flow)
+    ordered = _sorted_flows(flows)
     return NoninterferenceVerdict(
         ok=not flows,
-        flows=_sorted_flows(flows),
-        chain_flows=_sorted_flows(chain_flows),
+        flows=ordered,
+        chain_flows=ordered if chain_flows == flows else _sorted_flows(chain_flows),
     )
 
 

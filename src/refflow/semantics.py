@@ -202,36 +202,6 @@ class DepState:
         return frozenset(self.latest)
 
 
-def points(obj) -> frozenset:
-    """The occurring points of a dependency pair or of a whole w table.
-
-    For a pair this is every point mentioned in it; for a w mapping it is
-    every binding point plus every point mentioned in any bound pair.
-    """
-
-    if isinstance(obj, DepPair):
-        return obj.points()
-    out = set()
-    for (_, point), pair in obj.items():
-        out.add(point)
-        out |= pair.points()
-    return frozenset(out)
-
-
-def induced_dependency_edges(w: dict) -> frozenset:
-    """The dependency-direction edges of the order a w table induces.
-
-    Every point mentioned in a binding's pair precedes the binding point.
-    """
-
-    out = set()
-    for (_, point), pair in w.items():
-        for dep_point in pair.points():
-            if dep_point != point:
-                out.add((dep_point, point))
-    return frozenset(out)
-
-
 # ---------------------------------------------------------------------------
 # Errors
 # ---------------------------------------------------------------------------

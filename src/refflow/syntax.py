@@ -9,17 +9,27 @@ Surface form (EBNF sketch)::
 
     o    ::= term ('@' INT)?
     term ::= INT | 'true' | 'false' | '()' | IDENT
-           | '(' 'λ' IDENT '.' o ')'              abstraction (λ may be spelled \\)
+           | '(' 'λ' bind '.' o ')'               abstraction (λ may be spelled \\)
            | '(' o o ')'                          application
            | '(' OP o o ')'                       OP in + - * < = && ||
-           | '(' 'let' IDENT o o ')'
-           | '(' 'let' 'rec' IDENT o o ')'
+           | '(' 'let' bind o o ')'
+           | '(' 'let' 'rec' bind o o ')'
            | '(' 'case' o '[' pat '->' o (',' pat '->' o)* ']' ')'
            | '(' 'ref' o ')'
            | '(' o ':=' o ')'
            | '(' '!' o ')'
            | '(' o ')'                            grouping
+    bind ::= IDENT | '_'
     pat  ::= INT | 'true' | 'false' | IDENT | '_' | '(' pat (',' pat)* ')'
+
+Lexical rules: INT is a run of decimal digits, the characters for which
+``str.isdecimal`` holds, so ``٣`` reads as 3 while ``²`` is no digit.
+IDENT starts with a letter (``str.isalpha``) and goes on with characters
+for which ``str.isalnum`` holds, ``_`` and ``'``; the keywords ``let rec
+case ref true false`` are not IDENTs.  Space, tab, carriage return and
+newline separate tokens, and ``#`` starts a comment that runs to the end
+of the line.  Any other character is an error.  Errors give the line and
+column, both counted from 1, of the token they are about.
 
 An unlabeled group ``(x@5)`` is transparent.  A labeled group around an
 unlabeled term, ``(5)@4``, just labels the term.  A labeled group around
@@ -30,10 +40,17 @@ of its own on top of the inner expression's point.
 Parsing alpha-renames duplicate binders so that every binding occurrence
 introduces a distinct name.  Programs whose binders are already distinct
 come through unchanged.
+
+The reader splits the source with one regular expression and builds the
+final tree in one recursive descent, noting the explicit points and the
+binders as it goes; the numbering pass runs only when some node is
+unlabeled, and the renaming pass only when some binder repeats.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 
 
@@ -189,73 +206,59 @@ class PTuple(Pattern):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # INT IDENT PUNCT OP EOF
-    text: str
-    line: int
-    col: int
+# One match per token: the blanks and comments before it, then the token,
+# or nothing at the end of input.  Any character no token starts with
+# matches alone, so the matches tile the source.
+_TOKEN = re.compile(
+    r"(?:[ \t\r\n]|#[^\n]*)*"
+    r"(?:(->|:=|&&|\|\||[()\[\].,@!_+\-*<=λ\\]|\d+|[^\W\d_][\w']*|.)|\Z)",
+    re.S,
+)
+
+# Every token text that is not an INT or an IDENT; "" marks the end.
+_PUNCT = frozenset({"->", ":=", "&&", "||", *"()[].,@!_+-*<=λ\\", ""})
 
 
-_PUNCT2 = ("->", ":=", "&&", "||")
-_PUNCT1 = "()[].,@!_" + "+-*<="
+def _is_word(text: str) -> bool:
+    """Whether a token text that is not punctuation is an INT or an IDENT."""
+
+    return text.isdecimal() or text[0].isalpha()
 
 
-def _lex(src: str) -> list[_Token]:
-    toks: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        two = src[i : i + 2]
-        if two in _PUNCT2:
-            toks.append(_Token("PUNCT", two, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in ("λ", "\\"):
-            toks.append(_Token("PUNCT", "λ", line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(_Token("INT", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_" or src[j] == "'"):
-                j += 1
-            toks.append(_Token("IDENT", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT1:
-            toks.append(_Token("PUNCT", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Token("EOF", "", line, col))
-    return toks
+def _tokenize(source: str) -> list:
+    """The token texts, ending with "" at the end of input.
+
+    INT is a run of decimal digits (``str.isdecimal``) and an identifier
+    starts with a letter (``str.isalpha``); any other character outside a
+    comment raises ParseError at its first occurrence.
+    """
+
+    texts = _TOKEN.findall(source)
+    if not all(map(_is_word, set(texts).difference(_PUNCT))):
+        first = next(i for i, text in enumerate(texts) if text not in _PUNCT and not _is_word(text))
+        offset = _offsets(source)[first]
+        raise ParseError(f"unexpected character {source[offset]!r}", *_position(source, offset))
+    if "\\" in texts:
+        texts = ["λ" if text == "\\" else text for text in texts]
+    return texts
+
+
+def _is_name(text: str) -> bool:
+    """Whether a token text is an IDENT other than a keyword."""
+
+    return text not in _PUNCT and not text.isdecimal() and text not in _KEYWORDS
+
+
+def _offsets(source: str) -> list:
+    """The source offset of every token ``_tokenize`` returns."""
+
+    return [match.start(1) if match.lastindex else match.end() for match in _TOKEN.finditer(source)]
+
+
+def _position(source: str, offset: int) -> tuple:
+    """(line, column) of a source offset, both counted from 1."""
+
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
 
 
 # ---------------------------------------------------------------------------
@@ -263,211 +266,209 @@ def _lex(src: str) -> list[_Token]:
 # ---------------------------------------------------------------------------
 
 
-class _RawOcc:
-    """Parse-time occurrence whose point may still be unassigned."""
-
-    __slots__ = ("expr", "point")
-
-    def __init__(self, expr, point):
-        self.expr = expr
-        self.point = point
+_UNIT = Constant(())
+_BOOLS = {"true": Constant(True), "false": Constant(False)}
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.toks = tokens
+    """Recursive descent over the token texts, building the final tree.
+
+    An unlabeled node gets point None until numbering; ``labels`` and
+    ``binders`` collect the explicit points and the binder names in
+    source order, and ``unlabeled`` counts the nodes still unnumbered.
+    """
+
+    def __init__(self, source: str):
+        self.source = source
+        self.texts = _tokenize(source)
         self.pos = 0
+        self.labels: list = []
+        self.binders: list = []
+        self.unlabeled = 0
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def position(self, index: int) -> tuple:
+        """(line, column) of the token at ``index``."""
 
-    def next(self) -> _Token:
-        tok = self.toks[self.pos]
-        if tok.kind != "EOF":
+        return _position(self.source, _offsets(self.source)[index])
+
+    def fail(self, message: str, index: int):
+        raise ParseError(message, *self.position(index))
+
+    def take(self) -> str:
+        text = self.texts[self.pos]
+        if text:
             self.pos += 1
-        return tok
+        return text
 
-    def expect(self, text: str) -> _Token:
-        tok = self.next()
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
-        return tok
-
-    def fail(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
+    def expect(self, text: str):
+        index = self.pos
+        found = self.take()
+        if found != text:
+            self.fail(f"expected {text!r}, found {found or 'end of input'!r}", index)
 
     # -- occurrences --------------------------------------------------------
 
-    def occurrence(self) -> _RawOcc:
-        occ = self.term()
-        if self.peek().text == "@":
-            self.next()
-            point = self.int_literal()
-            if occ.point is None:
-                occ = _RawOcc(occ.expr, point)
+    def occurrence(self) -> Occurrence:
+        node = self.term()
+        if self.texts[self.pos] != "@":
+            if type(node) is Occurrence:
+                return node
+            self.unlabeled += 1
+            return Occurrence(node, None)
+        self.pos += 1
+        point = self.int_literal()
+        self.labels.append(point)
+        if type(node) is Occurrence:
+            if node.point is None:
+                self.unlabeled -= 1
+                node = node.expr
             else:
                 # labeled group around a labeled occurrence: pass-through node
-                occ = _RawOcc(Group(_finalize_placeholder(occ)), point)
-        return occ
+                node = Group(node)
+        return Occurrence(node, point)
 
     def int_literal(self) -> int:
-        tok = self.next()
-        if tok.kind != "INT":
-            raise ParseError(f"expected an integer, found {tok.text!r}", tok.line, tok.col)
-        return int(tok.text)
+        index = self.pos
+        text = self.take()
+        if not text.isdecimal():
+            self.fail(f"expected an integer, found {text!r}", index)
+        return int(text)
 
-    def term(self) -> _RawOcc:
-        tok = self.peek()
-        if tok.kind == "INT":
-            self.next()
-            return _RawOcc(Constant(int(tok.text)), None)
-        if tok.kind == "IDENT":
-            self.next()
-            if tok.text == "true":
-                return _RawOcc(Constant(True), None)
-            if tok.text == "false":
-                return _RawOcc(Constant(False), None)
-            if tok.text in _KEYWORDS:
-                raise ParseError(f"keyword {tok.text!r} cannot appear here", tok.line, tok.col)
-            return _RawOcc(Variable(tok.text), None)
-        if tok.text == "(":
+    def term(self):
+        """An expression, or the occurrence inside a transparent group."""
+
+        index = self.pos
+        text = self.texts[index]
+        if text == "(":
+            self.pos += 1
             return self.parenthesized()
-        self.fail(f"unexpected token {tok.text or 'end of input'!r}")
+        if text.isdecimal():
+            self.pos += 1
+            return Constant(int(text))
+        if text not in _PUNCT:
+            self.pos += 1
+            if text in _BOOLS:
+                return _BOOLS[text]
+            if text in _KEYWORDS:
+                self.fail(f"keyword {text!r} cannot appear here", index)
+            return Variable(sys.intern(text))
+        self.fail(f"unexpected token {text or 'end of input'!r}", index)
 
-    def parenthesized(self) -> _RawOcc:
-        self.expect("(")
-        tok = self.peek()
-        if tok.text == ")":
-            self.next()
-            return _RawOcc(Constant(()), None)
-        if tok.text == "λ":
-            return self.abstraction()
-        if tok.text == "!":
-            self.next()
+    def parenthesized(self):
+        text = self.texts[self.pos]
+        if text == ")":
+            self.pos += 1
+            return _UNIT
+        if text == "λ":
+            self.pos += 1
+            name = self.binder()
+            self.expect(".")
+            body = self.occurrence()
+            self.expect(")")
+            return Abstraction(name, body)
+        if text == "!":
+            self.pos += 1
             ref = self.occurrence()
             self.expect(")")
-            return _RawOcc(Deref(ref), None)
-        if tok.text in PRIM_OPS:
-            self.next()
+            return Deref(ref)
+        if text in PRIM_OPS:
+            self.pos += 1
             left = self.occurrence()
             right = self.occurrence()
             self.expect(")")
-            return _RawOcc(FunctionalApplication(tok.text, left, right), None)
-        if tok.kind == "IDENT" and tok.text == "let":
+            return FunctionalApplication(text, left, right)
+        if text == "let":
             return self.let_form()
-        if tok.kind == "IDENT" and tok.text == "case":
+        if text == "case":
             return self.case_form()
-        if tok.kind == "IDENT" and tok.text == "ref":
-            self.next()
+        if text == "ref":
+            self.pos += 1
             init = self.occurrence()
             self.expect(")")
-            return _RawOcc(Ref(init), None)
+            return Ref(init)
         first = self.occurrence()
-        after = self.peek()
-        if after.text == ")":
-            self.next()
+        after = self.texts[self.pos]
+        if after == ")":
+            self.pos += 1
             return first  # transparent grouping
-        if after.text == ":=":
-            self.next()
+        if after == ":=":
+            self.pos += 1
             value = self.occurrence()
             self.expect(")")
-            return _RawOcc(Assign(first, value), None)
+            return Assign(first, value)
         second = self.occurrence()
         self.expect(")")
-        return _RawOcc(Application(first, second), None)
+        return Application(first, second)
 
-    def abstraction(self) -> _RawOcc:
-        self.expect("λ")
-        name = self.binder()
-        self.expect(".")
-        body = self.occurrence()
-        self.expect(")")
-        return _RawOcc(Abstraction(name, body), None)
-
-    def let_form(self) -> _RawOcc:
-        self.expect("let")
-        recursive = False
-        if self.peek().kind == "IDENT" and self.peek().text == "rec":
-            self.next()
-            recursive = True
+    def let_form(self):
+        self.pos += 1
+        recursive = self.texts[self.pos] == "rec"
+        if recursive:
+            self.pos += 1
         name = self.binder()
         bound = self.occurrence()
         body = self.occurrence()
         self.expect(")")
-        ctor = LetRec if recursive else Let
-        return _RawOcc(ctor(name, bound, body), None)
+        return (LetRec if recursive else Let)(name, bound, body)
 
-    def case_form(self) -> _RawOcc:
-        self.expect("case")
+    def case_form(self):
+        self.pos += 1
         scrutinee = self.occurrence()
         self.expect("[")
         patterns = []
         clauses = []
         while True:
-            pat = self.pattern()
-            tok = self.next()
-            if tok.text != "->":
+            pattern = self.pattern()
+            if type(pattern) is PVar:
+                self.binders.append(pattern.name)
+            index = self.pos
+            text = self.take()
+            if text != "->":
+                line, col = self.position(index)
                 raise CaseArityError(
-                    f"case alternative needs 'pattern -> occurrence', found {tok.text or 'end of input'!r} "
-                    f"at line {tok.line}, column {tok.col}"
+                    f"case alternative needs 'pattern -> occurrence', found {text or 'end of input'!r} "
+                    f"at line {line}, column {col}"
                 )
-            clause = self.occurrence()
-            patterns.append(pat)
-            clauses.append(clause)
-            tok = self.next()
-            if tok.text == "]":
+            patterns.append(pattern)
+            clauses.append(self.occurrence())
+            index = self.pos
+            text = self.take()
+            if text == "]":
                 break
-            if tok.text != ",":
-                raise ParseError(f"expected ',' or ']', found {tok.text!r}", tok.line, tok.col)
+            if text != ",":
+                self.fail(f"expected ',' or ']', found {text!r}", index)
         self.expect(")")
-        return _RawOcc(Case(scrutinee, tuple(patterns), tuple(clauses)), None)
-
-    def ident(self) -> str:
-        tok = self.next()
-        if tok.kind != "IDENT" or tok.text in _KEYWORDS:
-            raise ParseError(f"expected a name, found {tok.text or 'end of input'!r}", tok.line, tok.col)
-        return tok.text
+        return Case(scrutinee, tuple(patterns), tuple(clauses))
 
     def binder(self) -> str:
         # A binding position also accepts the throwaway name "_".
-        if self.peek().text == "_":
-            self.next()
-            return "_"
-        return self.ident()
+        index = self.pos
+        text = self.take()
+        if text != "_" and not _is_name(text):
+            self.fail(f"expected a name, found {text or 'end of input'!r}", index)
+        text = sys.intern(text)
+        self.binders.append(text)
+        return text
 
     def pattern(self) -> Pattern:
-        tok = self.next()
-        if tok.kind == "INT":
-            return PNat(int(tok.text))
-        if tok.text == "true":
-            return PBool(True)
-        if tok.text == "false":
-            return PBool(False)
-        if tok.text == "_":
+        index = self.pos
+        text = self.take()
+        if text.isdecimal():
+            return PNat(int(text))
+        if text in _BOOLS:
+            return PBool(text == "true")
+        if text == "_":
             return PWildcard()
-        if tok.kind == "IDENT" and tok.text not in _KEYWORDS:
-            return PVar(tok.text)
-        if tok.text == "(":
+        if _is_name(text):
+            return PVar(sys.intern(text))
+        if text == "(":
             items = [self.pattern()]
-            while self.peek().text == ",":
-                self.next()
+            while self.texts[self.pos] == ",":
+                self.pos += 1
                 items.append(self.pattern())
             self.expect(")")
             return PTuple(tuple(items))
-        raise ParseError(f"expected a pattern, found {tok.text or 'end of input'!r}", tok.line, tok.col)
-
-
-def _finalize_placeholder(raw: _RawOcc) -> Occurrence:
-    """Wrap a labeled raw occurrence so it can sit inside a Group node.
-
-    The inner tree may still contain raw children with unassigned points;
-    the point-assignment pass walks through this wrapper and rebuilds the
-    whole tree with proper occurrences, so only the shape matters here.
-    """
-
-    return Occurrence(raw.expr, raw.point)
-
+        self.fail(f"expected a pattern, found {text or 'end of input'!r}", index)
 
 # ---------------------------------------------------------------------------
 # Point assignment and binder freshening
@@ -617,35 +618,21 @@ def _freshen(occ: Occurrence, env: dict, taken: set, avoid: set, counter: list) 
 def parse(source: str) -> Occurrence:
     """Parse a surface program into a fully labeled occurrence tree."""
 
-    parser = _Parser(_lex(source))
-    raw = parser.occurrence()
-    trailing = parser.peek()
-    if trailing.kind != "EOF":
-        raise ParseError(f"unexpected trailing input {trailing.text!r}", trailing.line, trailing.col)
-    seen: set = set()
-    _collect_explicit(raw, seen)
-    tree = _assign_points(raw, seen, [1])
-    binders: list = []
-    _binder_list(tree, binders)
+    parser = _Parser(source)
+    tree = parser.occurrence()
+    if parser.texts[parser.pos]:
+        parser.fail(f"unexpected trailing input {parser.texts[parser.pos]!r}", parser.pos)
+    taken = set(parser.labels)
+    if len(taken) != len(parser.labels):
+        _collect_explicit(tree, set())  # raises, naming the first repeat in pre-order
+    if parser.unlabeled:
+        tree = _assign_points(tree, taken, [1])
+    binders = parser.binders
     if len(binders) == len(set(binders)):
         return tree
     avoid = set(binders)
     _free_names(tree, frozenset(), avoid)
     return _freshen(tree, {}, set(), avoid, [0])
-
-
-def _binder_list(occ: Occurrence, out: list):
-    expr = occ.expr
-    if isinstance(expr, (Let, LetRec)):
-        out.append(expr.name)
-    elif isinstance(expr, Abstraction):
-        out.append(expr.param)
-    elif isinstance(expr, Case):
-        for pat in expr.patterns:
-            if isinstance(pat, PVar):
-                out.append(pat.name)
-    for child in _children(expr):
-        _binder_list(child, out)
 
 
 def _free_names(occ: Occurrence, bound: frozenset, out: set):
@@ -707,10 +694,6 @@ def subterm_at(occ: Occurrence, point: int):
         if hit is not None:
             return hit
     return None
-
-
-def children(occ: Occurrence) -> tuple:
-    return _children(occ.expr)
 
 
 def _pretty_pattern(pat: Pattern) -> str:

@@ -27,7 +27,7 @@ test (Agrawal, Borgida & Jagadish, SIGMOD 1989).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .syntax import (
@@ -49,6 +49,7 @@ from .syntax import (
     PWildcard,
     Ref,
     Variable,
+    _children,
     free_vars,
 )
 from .semantics import Closure, Location
@@ -446,33 +447,8 @@ def _use_points(occ: Occurrence, name: str, out: list):
                 out.append(occ.point)
         case _:
             # binders are globally unique after parsing, so no shadowing
-            for child in _children_of(expr):
+            for child in _children(expr):
                 _use_points(child, name, out)
-
-
-def _children_of(expr):
-    match expr:
-        case Variable() | Constant():
-            return ()
-        case Abstraction(_, body):
-            return (body,)
-        case Application(fn, arg):
-            return (fn, arg)
-        case FunctionalApplication(_, left, right):
-            return (left, right)
-        case Let(_, bound, body) | LetRec(_, bound, body):
-            return (bound, body)
-        case Case(scrutinee, _, clauses):
-            return (scrutinee, *clauses)
-        case Ref(init):
-            return (init,)
-        case Assign(target, value):
-            return (target, value)
-        case Deref(ref):
-            return (ref,)
-        case Group(inner):
-            return (inner,)
-    raise TypeError(f"unknown expression {expr!r}")
 
 
 def linear_use_check(program: Occurrence) -> tuple:
@@ -506,7 +482,7 @@ def linear_use_check(program: Occurrence) -> tuple:
             fun_names = fun_names | {expr.name}
         if isinstance(expr, Ref) and is_abstraction_valued(expr.init, fun_names):
             violations.append(AbstractionInRef(occ.point))
-        for child in _children_of(expr):
+        for child in _children(expr):
             walk(child, fun_names)
 
     walk(program, frozenset())
@@ -528,7 +504,9 @@ MUTATIONS = (
 
 @dataclass
 class Analysis:
-    """Everything the checking walk produced."""
+    """Everything the checking walk produced, plus what the program's one
+    flow walk yields: Pi, the alias base and the binding sites, each
+    derived on first use."""
 
     program: Occurrence
     gamma: TypeEnv
@@ -537,28 +515,30 @@ class Analysis:
     lam_scopes: dict
     claims: dict
     mutation: str | None = None
-    _pi: Pi | None = field(default=None, repr=False)
-    _alias_base: tuple | None = field(default=None, repr=False)
 
-    @property
+    @cached_property
+    def _walker(self):
+        from .approx import _FlowWalker
+
+        return _FlowWalker()
+
+    @cached_property
     def pi(self) -> Pi:
-        if self._pi is None:
-            from .approx import approximate_pi
+        from .approx import approximate_pi
 
-            self._pi = approximate_pi(self.program)
-        return self._pi
+        return approximate_pi(self.program, self._walker)
 
-    @property
+    @cached_property
     def alias_base(self) -> tuple:
-        if self._alias_base is None:
-            from .approx import build_alias_base
+        from .approx import build_alias_base
 
-            self._alias_base = build_alias_base(self.program)
-        return self._alias_base
+        return build_alias_base(self.program, self._walker)
 
+    @cached_property
+    def binding_sites(self) -> tuple:
+        from .approx import binding_sites
 
-# The triple a checked program yields: its Γ, its Π, and its alias base.
-AnalysisContext = Analysis
+        return binding_sites(self.program, self._walker)
 
 
 class _Checker:

@@ -127,3 +127,64 @@ def test_shared_blocks_name_a_reference(seed, size):
     for block in blocks:
         if len(block) > 1:
             assert any(isinstance(member, IVar) for member in block)
+
+
+# ---------------------------------------------------------------------------
+# One flow walk per program
+# ---------------------------------------------------------------------------
+
+
+def test_analysis_artifacts_equal_the_standalone_walks():
+    """[DERIVED] Pi, the alias base and the binding sites an analysis
+    derives from its one walk equal what the standalone entry points
+    compute, on 200 generated programs."""
+    from refflow.agreement import gen_program
+    from refflow.typesys import typecheck
+
+    for seed in range(200):
+        prog = gen_program(seed, 1 + seed % 30)
+        analysis = typecheck(prog)
+        pi = approximate_pi(prog)
+        assert (analysis.pi.visit, analysis.pi.edges) == (pi.visit, pi.edges)
+        assert analysis.alias_base == build_alias_base(prog)
+        assert analysis.binding_sites == binding_sites(prog)
+
+
+def _count_walks(monkeypatch) -> list:
+    """Patch the flow walker to count its root calls; returns the counter."""
+    from refflow.approx import _FlowWalker
+
+    original = _FlowWalker.walk
+    depth = [0]
+    roots = [0]
+
+    def walk(self, *args):
+        roots[0] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return original(self, *args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(_FlowWalker, "walk", walk)
+    return roots
+
+
+def test_each_pipeline_walks_once(monkeypatch):
+    """[DERIVED] The oracle, the noninterference check and typecheck's
+    Pi plus alias base each walk the program once."""
+    from refflow.agreement import check_soundness
+    from refflow.security import check_noninterference
+    from refflow.typesys import typecheck
+
+    prog = parse(ALIAS_CHAIN_SRC)
+    roots = _count_walks(monkeypatch)
+    assert check_soundness(prog).verdict
+    assert roots == [1]
+    assert not check_noninterference(prog, {"x": "high"}).ok
+    assert roots == [2]
+    analysis = typecheck(prog)
+    analysis.pi, analysis.alias_base, analysis.binding_sites
+    assert roots == [3]
+    approximate_pi(prog), build_alias_base(prog), binding_sites(prog)
+    assert roots == [6]

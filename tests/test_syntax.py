@@ -25,6 +25,7 @@ from refflow.syntax import (
     PVar,
     PWildcard,
     Ref,
+    SyntaxModuleError,
     Variable,
     all_points,
     free_vars,
@@ -193,3 +194,174 @@ def test_pretty_round_trip_generated(seed, size):
 
     prog = gen_program(seed, size)
     assert parse(pretty(prog)) == prog
+
+
+# ---------------------------------------------------------------------------
+# Pinned reader behaviour
+# ---------------------------------------------------------------------------
+
+# Unlabeled, partially labeled and grouped inputs with their fully labeled
+# rendering: pre-order numbering skips taken ids, groups are transparent
+# unless they label an already labeled occurrence, and repeated binders
+# are renamed apart.
+PINNED_PRETTY = [
+    ('(let x (ref 1) (let y (! x) (+ y 2)))', '(let x (ref 1@3)@2 (let y (!x@6)@5 (+ y@8 2@9)@7)@4)@1'),
+    ('(\\x. x)', '(λ x. x@2)@1'),
+    ('(case 3 [0 -> true, n -> false])', '(case 3@2 [0 -> true@3, n -> false@4])@1'),
+    ('((λ f. (f 1)) (λ y. y))', '((λ f. (f@4 1@5)@3)@2 (λ y. y@7)@6)@1'),
+    ('(let rec f (\\x. x) (f 1))', '(let rec f (λ x. x@3)@2 (f@5 1@6)@4)@1'),
+    ('(case x [(1, _) -> 0, (a, (b, c)) -> 1, _ -> ()])', '(case x@2 [(1, _) -> 0@3, (a, (b, c)) -> 1@4, _ -> ()@5])@1'),
+    ('(let a 1@2 a)', '(let a 1@2 a@3)@1'),
+    ('(+ 1@5 (* 2 3@1))', '(+ 1@5 (* 2@4 3@1)@3)@2'),
+    ('(let x (ref 4@1)@2 (!x))', '(let x (ref 4@1)@2 (!x@5)@4)@3'),
+    ('((f@7 1) (g 2@1))@3', '((f@7 1@4)@2 (g@6 2@1)@5)@3'),
+    ('(5@3)@4', '(5@3)@4'),
+    ('(5)@4', '5@4'),
+    ('((x))', 'x@1'),
+    ('((5@3)@4)', '(5@3)@4'),
+    ('(((5)))@2', '5@2'),
+    ('((5@1))', '5@1'),
+    ('(((5@1)@2)@3)', '((5@1)@2)@3'),
+    ('((x y))@9', '(x@1 y@2)@9'),
+    ('(let x 1 (let x 2 x))', '(let x 1@2 (let x_1 2@4 x_1@5)@3)@1'),
+    ('(let _ 1 (let _ 2 3))', '(let _ 1@2 (let wild_1 2@4 3@5)@3)@1'),
+    ('(\\x. (\\x. x))', '(λ x. (λ x_1. x_1@3)@2)@1'),
+    ('(let x 1 (case x [x -> x, y -> (let y y y)]))', '(let x 1@2 (case x@4 [x_1 -> x_1@5, y -> (let y_2 y@7 y_2@8)@6])@3)@1'),
+    ('(let x_1 1 (let x 2 (let x 3 x_1)))', '(let x_1 1@2 (let x 2@4 (let x_2 3@6 x_1@7)@5)@3)@1'),
+    ('(+ ٣ 4)', '(+ 3@2 4@3)@1'),
+    ('(let αβ 1 αβ)', '(let αβ 1@2 αβ@3)@1'),
+    ('(let x² 1 x²)', '(let x² 1@2 x²@3)@1'),
+    ("(let x' 1 (let x'_y 2 x'))", "(let x' 1@2 (let x'_y 2@4 x'@5)@3)@1"),
+    ('# leading comment\n(+ 1 2) # trailing\n', '(+ 1@2 2@3)@1'),
+    ('(&& true (|| false (< 1 (= 2 (- 3 4)))))', '(&& true@2 (|| false@4 (< 1@6 (= 2@8 (- 3@10 4@11)@9)@7)@5)@3)@1'),
+    ('(x := (! x))', '(x@2 := (!x@4)@3)@1'),
+    ('(λx.x)', '(λ x. x@2)@1'),
+    ('007@0010', '7@10'),
+    ('x # c', 'x@1'),
+]
+
+# Broken inputs with the exact error each raises.
+PINNED_ERRORS = [
+    ('', ParseError, "unexpected token 'end of input' (line 1, column 1)"),
+    ('   ', ParseError, "unexpected token 'end of input' (line 1, column 4)"),
+    ('# only a comment', ParseError, "unexpected token 'end of input' (line 1, column 17)"),  # the true end, past the comment
+    ('(', ParseError, "unexpected token 'end of input' (line 1, column 2)"),
+    (')', ParseError, "unexpected token ')' (line 1, column 1)"),
+    (']', ParseError, "unexpected token ']' (line 1, column 1)"),
+    ('(let', ParseError, "expected a name, found 'end of input' (line 1, column 5)"),
+    ('(let x', ParseError, "unexpected token 'end of input' (line 1, column 7)"),
+    ('(let x 1', ParseError, "unexpected token 'end of input' (line 1, column 9)"),
+    ('(let x 1 x', ParseError, "expected ')', found 'end of input' (line 1, column 11)"),
+    ('(let rec', ParseError, "expected a name, found 'end of input' (line 1, column 9)"),
+    ('(let rec f', ParseError, "unexpected token 'end of input' (line 1, column 11)"),
+    ('(\\ ', ParseError, "expected a name, found 'end of input' (line 1, column 4)"),
+    ('(\\x', ParseError, "expected '.', found 'end of input' (line 1, column 4)"),
+    ('(\\x.', ParseError, "unexpected token 'end of input' (line 1, column 5)"),
+    ('(\\x. x', ParseError, "expected ')', found 'end of input' (line 1, column 7)"),
+    ('(\\ let. 1)', ParseError, "expected a name, found 'let' (line 1, column 4)"),
+    ('(\\1. 1)', ParseError, "expected a name, found '1' (line 1, column 3)"),
+    ('(case', ParseError, "unexpected token 'end of input' (line 1, column 6)"),
+    ('(case x', ParseError, "expected '[', found 'end of input' (line 1, column 8)"),
+    ('(case x [', ParseError, "expected a pattern, found 'end of input' (line 1, column 10)"),
+    ('(case x [0', CaseArityError, "case alternative needs 'pattern -> occurrence', found 'end of input' at line 1, column 11"),
+    ('(case x [0 ->', ParseError, "unexpected token 'end of input' (line 1, column 14)"),
+    ('(case x [0 -> 1', ParseError, "expected ',' or ']', found '' (line 1, column 16)"),
+    ('(case x [0 -> 1,', ParseError, "expected a pattern, found 'end of input' (line 1, column 17)"),
+    ('(case x [0 -> 1]', ParseError, "expected ')', found 'end of input' (line 1, column 17)"),
+    ('(case x [0 1])', CaseArityError, "case alternative needs 'pattern -> occurrence', found '1' at line 1, column 12"),
+    ('(case x [0 -> 1; 2])', ParseError, "unexpected character ';' (line 1, column 16)"),
+    ('(case x [-> 1])', ParseError, "expected a pattern, found '->' (line 1, column 10)"),
+    ('(case x [(1, 2 -> 0])', ParseError, "expected ')', found '->' (line 1, column 16)"),
+    ('(case x [0 -> 1, 2])', CaseArityError, "case alternative needs 'pattern -> occurrence', found ']' at line 1, column 19"),
+    ('(case x [let -> 1])', ParseError, "expected a pattern, found 'let' (line 1, column 10)"),
+    ('(case x [0 -> 1, _ -> 2)', ParseError, "expected ',' or ']', found ')' (line 1, column 24)"),
+    ('(ref', ParseError, "unexpected token 'end of input' (line 1, column 5)"),
+    ('(!', ParseError, "unexpected token 'end of input' (line 1, column 3)"),
+    ('(+ 1', ParseError, "unexpected token 'end of input' (line 1, column 5)"),
+    ('(+ 1 2 3)', ParseError, "expected ')', found '3' (line 1, column 8)"),
+    ('(x :=', ParseError, "unexpected token 'end of input' (line 1, column 6)"),
+    ('(x := 1', ParseError, "expected ')', found 'end of input' (line 1, column 8)"),
+    ('(f 1', ParseError, "expected ')', found 'end of input' (line 1, column 5)"),
+    ('(f 1 2)', ParseError, "expected ')', found '2' (line 1, column 6)"),
+    ('x@', ParseError, "expected an integer, found '' (line 1, column 3)"),
+    ('x@y', ParseError, "expected an integer, found 'y' (line 1, column 3)"),
+    ('x@@1', ParseError, "expected an integer, found '@' (line 1, column 3)"),
+    ('x@-1', ParseError, "expected an integer, found '-' (line 1, column 3)"),
+    ('x@1@2', ParseError, "unexpected trailing input '@' (line 1, column 4)"),
+    ('1 2', ParseError, "unexpected trailing input '2' (line 1, column 3)"),
+    ('())', ParseError, "unexpected trailing input ')' (line 1, column 3)"),
+    ('$', ParseError, "unexpected character '$' (line 1, column 1)"),
+    ('(let x 1 x) $', ParseError, "unexpected character '$' (line 1, column 13)"),
+    ('a & b', ParseError, "unexpected character '&' (line 1, column 3)"),
+    ('(x | y)', ParseError, "unexpected character '|' (line 1, column 4)"),
+    ('(: x)', ParseError, "unexpected character ':' (line 1, column 2)"),
+    ("'x", ParseError, 'unexpected character "\'" (line 1, column 1)'),
+    ('x@1 y', ParseError, "unexpected trailing input 'y' (line 1, column 5)"),
+    ('(let let 1 2)', ParseError, "expected a name, found 'let' (line 1, column 6)"),
+    ('(let 1 2 3)', ParseError, "expected a name, found '1' (line 1, column 6)"),
+    ('let', ParseError, "keyword 'let' cannot appear here (line 1, column 1)"),
+    ('(ref ref)', ParseError, "keyword 'ref' cannot appear here (line 1, column 6)"),
+    ('(+ 1@3 2@3)', DuplicatePointError, 'program point 3 is annotated more than once'),
+    ('(x@2 (y@1 z@1))@2', DuplicatePointError, 'program point 2 is annotated more than once'),
+    ('((5@1)@1)', DuplicatePointError, 'program point 1 is annotated more than once'),
+    ('\x0c', ParseError, "unexpected character '\\x0c' (line 1, column 1)"),
+    ('1\n  $', ParseError, "unexpected character '$' (line 2, column 3)"),
+    ('(1 2)\n\n ]', ParseError, "unexpected trailing input ']' (line 3, column 2)"),
+    ('x\xa0y', ParseError, "unexpected character '\\xa0' (line 1, column 2)"),
+    ('(let x 1 # comment', ParseError, "unexpected token 'end of input' (line 1, column 19)"),  # the true end, past the comment
+    ('(let x 1\n# two\n', ParseError, "unexpected token 'end of input' (line 3, column 1)"),
+    ('Ⅻ', ParseError, "unexpected character 'Ⅻ' (line 1, column 1)"),
+    ('½', ParseError, "unexpected character '½' (line 1, column 1)"),
+    ('²', ParseError, "unexpected character '²' (line 1, column 1)"),  # '²' is a digit but not a decimal one
+    ('x@²', ParseError, "unexpected character '²' (line 1, column 3)"),  # '²' is a digit but not a decimal one
+    ('(+ ² 1)', ParseError, "unexpected character '²' (line 1, column 4)"),  # '²' is a digit but not a decimal one
+    ('1²', ParseError, "unexpected character '²' (line 1, column 2)"),  # '²' is a digit but not a decimal one
+]
+
+
+@pytest.mark.parametrize("source, rendered", PINNED_PRETTY)
+def test_pinned_rendering(source, rendered):
+    """[DERIVED] The labeled rendering of each pinned input, and the
+    rendering reads back to the same tree."""
+    prog = parse(source)
+    assert pretty(prog) == rendered
+    assert parse(rendered) == prog
+
+
+@pytest.mark.parametrize("source, error, message", PINNED_ERRORS)
+def test_pinned_errors(source, error, message):
+    """[DERIVED] Each broken input raises exactly this error and message."""
+    with pytest.raises(SyntaxModuleError) as exc:
+        parse(source)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+def test_unicode_letters_and_decimal_digits_still_lex():
+    """[DERIVED] Identifiers start with any letter and go on with letters,
+    digits, '_' and "'"; every Unicode decimal digit is an INT digit."""
+    prog = parse("(let αβ² ٣٤ αβ²)")
+    assert prog.expr.name == "αβ²"
+    assert prog.expr.bound.expr == Constant(34)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(max_size=200))
+def test_arbitrary_text_parses_or_raises_a_syntax_error(source):
+    """[TRIVIAL] On any text the reader returns a tree or raises one of
+    its own errors, never anything else."""
+    try:
+        parse(source)
+    except SyntaxModuleError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="()[]@.,->:=!_+*<&|λ\\#\n x1²٣", max_size=200))
+def test_near_miss_text_parses_or_raises_a_syntax_error(source):
+    """[TRIVIAL] The same on text drawn from the language's own
+    characters, where far more inputs get deep into the parser."""
+    try:
+        parse(source)
+    except SyntaxModuleError:
+        pass
