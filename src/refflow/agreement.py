@@ -34,22 +34,7 @@ from .semantics import (
     evaluate,
     ip_sem,
 )
-from .syntax import (
-    Abstraction,
-    Application,
-    Assign,
-    Case,
-    Deref,
-    FunctionalApplication,
-    Group,
-    Let,
-    LetRec,
-    Occurrence,
-    PVar,
-    Ref,
-    Variable,
-    parse,
-)
+from .syntax import Occurrence, free_name_table, parse
 from .typesys import (
     Analysis,
     Arrow,
@@ -139,20 +124,11 @@ class AgreementReport:
 # ---------------------------------------------------------------------------
 
 
-def _entry_value(entry):
-    """Environments may store (value, bind point) pairs internally."""
-
-    if isinstance(entry, tuple) and len(entry) == 2 and isinstance(entry[1], (int, type(None))):
-        return entry[0]
-    return entry
-
-
 def _env_inverse(env: dict) -> dict:
     """Every location the environment holds, with the sorted names holding it."""
 
     holders: dict = {}
-    for name, entry in env.items():
-        value = _entry_value(entry)
+    for name, (value, _) in env.items():
         if isinstance(value, Location):
             holders.setdefault(value, []).append(name)
     return {location: tuple(sorted(names)) for location, names in holders.items()}
@@ -270,7 +246,7 @@ def well_typed_env(gamma: TypeEnv, pi: Pi, env: dict, loc_origin: dict | None = 
     """Whether every bound value inhabits some recorded type of its name."""
 
     for name in sorted(env):
-        value = _entry_value(env[name])
+        value = env[name][0]
         admitted = any(
             type_value(value, gamma.at(name, point), loc_origin)
             for point in sorted(gamma.bound_points(name))
@@ -293,32 +269,6 @@ def dep_agree(env: dict, pair: DepPair, delta: frozenset, alias_base: tuple) -> 
 # ---------------------------------------------------------------------------
 
 
-def _fv_by_point(occ: Occurrence, table: dict) -> frozenset:
-    expr = occ.expr
-    match expr:
-        case Variable(name):
-            fv = frozenset({name})
-        case Abstraction(param, body):
-            fv = _fv_by_point(body, table) - {param}
-        case Let(name, bound, body):
-            fv = _fv_by_point(bound, table) | (_fv_by_point(body, table) - {name})
-        case LetRec(name, bound, body):
-            fv = (_fv_by_point(bound, table) | _fv_by_point(body, table)) - {name}
-        case Application(a, b) | FunctionalApplication(_, a, b) | Assign(a, b):
-            fv = _fv_by_point(a, table) | _fv_by_point(b, table)
-        case Case(scrutinee, patterns, clauses):
-            fv = _fv_by_point(scrutinee, table)
-            for pattern, clause in zip(patterns, clauses):
-                bound_names = {pattern.name} if isinstance(pattern, PVar) else set()
-                fv = fv | (_fv_by_point(clause, table) - bound_names)
-        case Ref(inner) | Deref(inner) | Group(inner):
-            fv = _fv_by_point(inner, table)
-        case _:
-            fv = frozenset()
-    table[occ.point] = frozenset(fv)
-    return table[occ.point]
-
-
 class _Judge:
     """Applies the clauses to events as a run unfolds."""
 
@@ -330,8 +280,7 @@ class _Judge:
         # per-program indices, built once: Γ is complete before the run starts
         self.ivars = _gamma_ivars(self.gamma)
         self.blocks = _block_map(analysis.alias_base)
-        self.fv_table: dict = {}
-        _fv_by_point(analysis.program, self.fv_table)
+        self.fv_table = free_name_table(analysis.program)
         self.stack: list = []
         self.seen_env: set = set()
         self.seen_store: set = set()
@@ -340,9 +289,7 @@ class _Judge:
 
     def check_env(self, env: dict, dep: DepState, where: str):
         for name in sorted(env):
-            entry = env[name]
-            value = _entry_value(entry)
-            bind_point = entry[1] if entry is not value else None
+            value, bind_point = env[name]
             key = (name, bind_point)
             if key in self.seen_env:
                 continue

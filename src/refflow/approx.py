@@ -1,34 +1,25 @@
-"""Static approximations of the run: the happens-before order and alias base.
+"""Static approximations of the run: the happens-before order, the binding
+sites and the alias base.
 
-Both artifacts come out of one syntactic walk in evaluation order.  The
-walk carries, for every expression, a small descriptor of the value it
-can produce: the abstraction points it may be a closure of, and the
-internal variables of the references it may be.  Descriptors let the
-walk descend into an abstraction's body at its application site (unique
-per abstraction under linearity) and let binders inherit the reference
-identities of what they are bound to.
+All three come out of the program's one checking walk
+(:mod:`refflow.typesys`), which records them while it types the program
+in evaluation order, descending into an abstraction's body at its
+application site (unique per abstraction under linearity).  The entry
+points below are thin views of ``typecheck(program, allow_free=True)``.
 
-``approximate_pi`` records one cover edge per consecutive visit.  Case
-alternatives fork from the scrutinee's point and join at the case's own
-point, so points of different alternatives stay incomparable; the
-bodies behind a several-origin application fork and join the same way.
-
-``build_alias_base`` partitions every variable and internal variable of
-the program into alias blocks: a binder shares a block with every
-internal variable its bound value may denote, and names alias each
-other only by meeting in such a block.
+The alias base partitions every variable and internal variable of the
+program into alias blocks: a binder shares a block with every internal
+variable its bound value may denote, and names alias each other only by
+meeting in such a block.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .syntax import (
     Abstraction,
     Application,
     Assign,
     Case,
-    Constant,
     Deref,
     FunctionalApplication,
     Group,
@@ -39,194 +30,32 @@ from .syntax import (
     Ref,
     Variable,
 )
-from .typesys import IVar, Pi, _resolve_abstraction, subject_key
+from .typesys import IVar, Pi, subject_key, typecheck
 
 
-# ---------------------------------------------------------------------------
-# The evaluation-order walk
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Descriptor:
-    """What a subexpression may evaluate to, for walking purposes."""
-
-    origins: frozenset = frozenset()
-    refs: frozenset = frozenset()
-
-    def union(self, other: "_Descriptor") -> "_Descriptor":
-        return _Descriptor(self.origins | other.origins, self.refs | other.refs)
-
-
-_NOTHING = _Descriptor()
-
-
-class _FlowWalker:
-    def __init__(self):
-        self.visit: list = []
-        self.edges: set = set()
-        self.lam_scopes: dict = {}
-        self.lam_occ: dict = {}
-        self.walked: set = set()
-        self.merges: list = []
-        self.bind_sites: list = []
-
-    def note(self, point: int, prev):
-        self.visit.append(point)
-        if prev is not None and prev != point:
-            self.edges.add((prev, point))
-
-    def merge(self, name: str, refs: frozenset):
-        for internal in sorted(refs, key=subject_key):
-            self.merges.append((name, internal))
-
-    def walk(self, occ: Occurrence, prev, scope: dict):
-        """Visit the occurrence; returns (its point, its descriptor)."""
-
-        expr = occ.expr
-        p = occ.point
-        match expr:
-            case Constant(_):
-                self.note(p, prev)
-                return p, _NOTHING
-
-            case Variable(name):
-                self.note(p, prev)
-                return p, scope.get(name, _NOTHING)
-
-            case Abstraction(_, _):
-                self.lam_occ[p] = occ
-                self.lam_scopes[p] = dict(scope)
-                self.note(p, prev)
-                return p, _Descriptor(origins=frozenset({p}))
-
-            case Group(inner):
-                last, desc = self.walk(inner, prev, scope)
-                self.note(p, last)
-                return p, desc
-
-            case Let(name, bound, body):
-                bound_last, bound_desc = self.walk(bound, prev, scope)
-                self.bind_sites.append((name, bound.point))
-                self.merge(name, bound_desc.refs)
-                body_last, body_desc = self.walk(body, bound_last, {**scope, name: bound_desc})
-                self.note(p, body_last)
-                return p, body_desc
-
-            case LetRec(name, bound, body):
-                lam = _resolve_abstraction(bound)
-                if lam is not None:
-                    inner_scope = {**scope, name: _Descriptor(origins=frozenset({lam.point}))}
-                    bound_last, _ = self.walk(bound, prev, inner_scope)
-                else:
-                    bound_last, bound_desc = self.walk(bound, prev, scope)
-                    self.merge(name, bound_desc.refs)
-                    inner_scope = {**scope, name: bound_desc}
-                self.bind_sites.append((name, bound.point))
-                body_last, body_desc = self.walk(body, bound_last, inner_scope)
-                self.note(p, body_last)
-                return p, body_desc
-
-            case Application(fn, arg):
-                fn_last, fn_desc = self.walk(fn, prev, scope)
-                arg_last, arg_desc = self.walk(arg, fn_last, scope)
-                pending = [
-                    origin
-                    for origin in sorted(fn_desc.origins)
-                    if origin in self.lam_occ and origin not in self.walked
-                ]
-                if not pending:
-                    self.note(p, arg_last)
-                    return p, _NOTHING
-                body_lasts = []
-                result = _NOTHING
-                for origin in pending:
-                    self.walked.add(origin)
-                    lam = self.lam_occ[origin]
-                    self.bind_sites.append((lam.expr.param, arg.point))
-                    self.merge(lam.expr.param, arg_desc.refs)
-                    body_scope = {**self.lam_scopes[origin], lam.expr.param: arg_desc}
-                    body_last, body_desc = self.walk(lam.expr.body, arg_last, body_scope)
-                    body_lasts.append(body_last)
-                    result = result.union(body_desc)
-                self.visit.append(p)
-                for last in body_lasts:
-                    if last != p:
-                        self.edges.add((last, p))
-                return p, result
-
-            case FunctionalApplication(_, left, right):
-                left_last, _ = self.walk(left, prev, scope)
-                right_last, _ = self.walk(right, left_last, scope)
-                self.note(p, right_last)
-                return p, _NOTHING
-
-            case Ref(init):
-                init_last, _ = self.walk(init, prev, scope)
-                self.note(p, init_last)
-                return p, _Descriptor(refs=frozenset({IVar(p)}))
-
-            case Assign(target, value):
-                target_last, _ = self.walk(target, prev, scope)
-                value_last, _ = self.walk(value, target_last, scope)
-                self.note(p, value_last)
-                return p, _NOTHING
-
-            case Deref(ref):
-                ref_last, _ = self.walk(ref, prev, scope)
-                self.note(p, ref_last)
-                return p, _NOTHING
-
-            case Case(scrutinee, patterns, clauses):
-                scrut_last, scrut_desc = self.walk(scrutinee, prev, scope)
-                branch_lasts = []
-                result = _NOTHING
-                for pattern, clause in zip(patterns, clauses):
-                    branch_scope = scope
-                    if isinstance(pattern, PVar):
-                        self.bind_sites.append((pattern.name, scrutinee.point))
-                        self.merge(pattern.name, scrut_desc.refs)
-                        branch_scope = {**scope, pattern.name: scrut_desc}
-                    last, desc = self.walk(clause, scrut_last, branch_scope)
-                    branch_lasts.append(last)
-                    result = result.union(desc)
-                self.visit.append(p)
-                for last in branch_lasts:
-                    if last != p:
-                        self.edges.add((last, p))
-                return p, result
-
-        raise TypeError(f"unknown expression {expr!r}")
-
-
-def _walked(program: Occurrence, walker: _FlowWalker | None) -> _FlowWalker:
-    """``walker`` after it has walked ``program``; a fresh walker when None.
-
-    A walker shared between the entry points below walks only on the
-    first of them, so the entry point that walks is charged for it.
-    """
-
-    if walker is None:
-        walker = _FlowWalker()
-    if not walker.visit:
-        walker.walk(program, None, {})
-    return walker
-
-
-def binding_sites(program: Occurrence, walker: _FlowWalker | None = None) -> tuple:
+def binding_sites(program: Occurrence) -> tuple:
     """Every binding the run would perform, as (name, binding point)
     pairs in evaluation order: let and let rec binders at their bound
     expression's point, parameters at their argument's point, pattern
-    binders at their scrutinee's point."""
+    binders at their scrutinee's point.  Raises TypeCheckError when the
+    checker rejects the program."""
 
-    return tuple(_walked(program, walker).bind_sites)
+    return typecheck(program, allow_free=True).binding_sites
 
 
-def approximate_pi(program: Occurrence, walker: _FlowWalker | None = None) -> Pi:
-    """The static happens-before order over the program's points."""
+def approximate_pi(program: Occurrence) -> Pi:
+    """The static happens-before order over the program's points.
+    Raises TypeCheckError when the checker rejects the program."""
 
-    walker = _walked(program, walker)
-    return Pi(tuple(walker.visit), frozenset(walker.edges))
+    return typecheck(program, allow_free=True).pi
+
+
+def build_alias_base(program: Occurrence) -> tuple:
+    """Partition the program's variables and internal variables into
+    alias blocks, sorted for stable output.  Raises TypeCheckError when
+    the checker rejects the program."""
+
+    return typecheck(program, allow_free=True).alias_base
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +107,10 @@ def _subjects_of(program: Occurrence) -> list:
     return sorted(out, key=subject_key)
 
 
-def build_alias_base(program: Occurrence, walker: _FlowWalker | None = None) -> tuple:
+def _alias_blocks(program: Occurrence, merges: tuple) -> tuple:
     """Partition the program's variables and internal variables into
-    alias blocks.
+    alias blocks, given the (binder, internal variable) merges of its
+    checking walk.
 
     A binder joins the block of every internal variable its bound value
     may denote; every other subject stays a singleton.  Two names can
@@ -289,7 +119,6 @@ def build_alias_base(program: Occurrence, walker: _FlowWalker | None = None) -> 
     back sorted for stable output.
     """
 
-    walker = _walked(program, walker)
     parent: dict = {}
 
     def find(subject):
@@ -308,7 +137,7 @@ def build_alias_base(program: Occurrence, walker: _FlowWalker | None = None) -> 
 
     for subject in _subjects_of(program):
         find(subject)
-    for name, internal in walker.merges:
+    for name, internal in merges:
         union(name, internal)
 
     blocks: dict = {}

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .approx import binding_sites
-from .syntax import Occurrence, free_vars
+from .approx import _subjects_of
+from .syntax import Occurrence
 from .typesys import (
     Analysis,
     Arrow,
@@ -79,11 +79,12 @@ def level_of(labeling: dict, name: str) -> str:
 
 def default_labeling(program: Occurrence, stride: int = 3) -> dict:
     """A deterministic labeling for generated programs: sort every name
-    the program binds or leaves free, mark every ``stride``-th high."""
+    the program binds or leaves free, mark every ``stride``-th high.
+    Reads the syntax only, so rejected programs get a labeling too."""
 
     if stride < 1:
         raise ValueError("stride must be positive")
-    names = sorted(free_vars(program) | {name for name, _ in binding_sites(program)})
+    names = sorted(s for s in _subjects_of(program) if isinstance(s, str))
     return {name: HIGH if index % stride == 0 else LOW for index, name in enumerate(names)}
 
 

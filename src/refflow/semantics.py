@@ -118,9 +118,6 @@ class DepPair:
     def points(self) -> frozenset:
         return frozenset(pt for _, pt in self.locs) | frozenset(pt for _, pt in self.vars)
 
-    def is_empty(self) -> bool:
-        return not self.locs and not self.vars
-
 
 EMPTY_PAIR = DepPair()
 
@@ -302,9 +299,7 @@ class StepEvent:
     dep: DepState | None = None
     value: object = None
     pair: DepPair | None = None
-    incoming: int | None = None
     subject: object = None
-    point: int | None = None
 
 
 @dataclass
@@ -314,7 +309,6 @@ class EvalOutcome:
     dep: DepState
     store: dict
     steps: int
-    point: int | None = None
     loc_origin: dict = field(default_factory=dict)
 
 
@@ -375,13 +369,13 @@ class _Evaluator:
 
     def bind(self, subject, point, pair, incoming, threading=True):
         self.dep.bind(subject, point, pair, incoming, threading)
-        self.notify(StepEvent(kind="bind", subject=subject, point=point, pair=pair, dep=self.dep, store=self.store))
+        self.notify(StepEvent(kind="bind", subject=subject, pair=pair, dep=self.dep, store=self.store))
 
     def eval(self, occ: Occurrence, env: dict, incoming):
         self.steps += 1
         if self.steps > self.budget:
             raise EvalBudgetExceeded(self.budget, occ.point)
-        self.notify(StepEvent(kind="begin", occ=occ, env=env, store=self.store, dep=self.dep, incoming=incoming))
+        self.notify(StepEvent(kind="begin", occ=occ, env=env, store=self.store, dep=self.dep))
         value, pair = self._dispatch(occ, env, incoming)
         if self.tamper is not None:
             swapped = self.tamper(occ, value, pair)
@@ -505,18 +499,6 @@ class _Evaluator:
         raise TypeError(f"unknown expression {expr!r}")
 
 
-def _seed_env(env: dict | None) -> dict:
-    """Normalize a caller-supplied environment to (value, bind point) entries."""
-
-    seeded = {}
-    for name, entry in (env or {}).items():
-        if isinstance(entry, tuple) and len(entry) == 2 and isinstance(entry[1], (int, type(None))):
-            seeded[name] = entry
-        else:
-            seeded[name] = (entry, None)
-    return seeded
-
-
 def evaluate(
     program: Occurrence,
     *,
@@ -525,17 +507,17 @@ def evaluate(
     tamper=None,
     env: dict | None = None,
 ) -> EvalOutcome:
-    """Run the program and collect w, the realized order, and the result pair."""
+    """Run the program and collect w, the realized order, and the result
+    pair.  ``env`` maps names to (value, bind point) pairs."""
 
     machine = _Evaluator(budget, on_step, tamper)
-    value, pair = machine.run(program, _seed_env(env), None)
+    value, pair = machine.run(program, env or {}, None)
     return EvalOutcome(
         value=value,
         pair=pair,
         dep=machine.dep,
         store=machine.store,
         steps=machine.steps,
-        point=program.point,
         loc_origin=machine.loc_origin,
     )
 
@@ -554,19 +536,18 @@ def eval_occurrence(
     """One evaluation step in a caller-supplied state.
 
     The store and dependency state are updated in place when given, so a
-    sequence of calls sees each other's bindings; the outcome's point is
-    the evaluated occurrence's own point, where every rule ends.
+    sequence of calls sees each other's bindings.  ``env`` maps names to
+    (value, bind point) pairs.
     """
 
     machine = _Evaluator(budget, on_step, tamper, store=store, dep=dep)
-    value, pair = machine.run(occ, _seed_env(env), incoming)
+    value, pair = machine.run(occ, env or {}, incoming)
     return EvalOutcome(
         value=value,
         pair=pair,
         dep=machine.dep,
         store=machine.store,
         steps=machine.steps,
-        point=occ.point,
         loc_origin=machine.loc_origin,
     )
 

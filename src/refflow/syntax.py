@@ -332,7 +332,16 @@ class _Parser:
         text = self.take()
         if not text.isdecimal():
             self.fail(f"expected an integer, found {text!r}", index)
-        return int(text)
+        return self.number(text, index)
+
+    def number(self, text: str, index: int) -> int:
+        """The value of the INT token at ``index``, or a ParseError when it
+        has more digits than ``int`` converts (4300 by default)."""
+
+        try:
+            return int(text)
+        except ValueError:
+            self.fail(f"integer literal of {len(text)} digits is too long", index)
 
     def term(self):
         """An expression, or the occurrence inside a transparent group."""
@@ -344,7 +353,7 @@ class _Parser:
             return self.parenthesized()
         if text.isdecimal():
             self.pos += 1
-            return Constant(int(text))
+            return Constant(self.number(text, index))
         if text not in _PUNCT:
             self.pos += 1
             if text in _BOOLS:
@@ -454,7 +463,7 @@ class _Parser:
         index = self.pos
         text = self.take()
         if text.isdecimal():
-            return PNat(int(text))
+            return PNat(self.number(text, index))
         if text in _BOOLS:
             return PBool(text == "true")
         if text == "_":
@@ -630,33 +639,34 @@ def parse(source: str) -> Occurrence:
     binders = parser.binders
     if len(binders) == len(set(binders)):
         return tree
-    avoid = set(binders)
-    _free_names(tree, frozenset(), avoid)
+    avoid = set(binders) | free_vars(tree)
     return _freshen(tree, {}, set(), avoid, [0])
 
 
-def _free_names(occ: Occurrence, bound: frozenset, out: set):
+def _free_in(occ: Occurrence, table: dict) -> frozenset:
     expr = occ.expr
     match expr:
         case Variable(name):
-            if name not in bound:
-                out.add(name)
+            fv = frozenset({name})
         case Abstraction(param, body):
-            _free_names(body, bound | {param}, out)
-        case Let(name, b, body):
-            _free_names(b, bound, out)
-            _free_names(body, bound | {name}, out)
-        case LetRec(name, b, body):
-            _free_names(b, bound | {name}, out)
-            _free_names(body, bound | {name}, out)
+            fv = _free_in(body, table) - {param}
+        case Let(name, bound, body):
+            fv = _free_in(bound, table) | (_free_in(body, table) - {name})
+        case LetRec(name, bound, body):
+            fv = (_free_in(bound, table) | _free_in(body, table)) - {name}
+        case Application(a, b) | FunctionalApplication(_, a, b) | Assign(a, b):
+            fv = _free_in(a, table) | _free_in(b, table)
         case Case(scrutinee, patterns, clauses):
-            _free_names(scrutinee, bound, out)
-            for pat, clause in zip(patterns, clauses):
-                extra = {pat.name} if isinstance(pat, PVar) else set()
-                _free_names(clause, bound | extra, out)
+            fv = _free_in(scrutinee, table)
+            for pattern, clause in zip(patterns, clauses):
+                clause_fv = _free_in(clause, table)
+                fv = fv | (clause_fv - {pattern.name} if isinstance(pattern, PVar) else clause_fv)
+        case Ref(inner) | Deref(inner) | Group(inner):
+            fv = _free_in(inner, table)
         case _:
-            for child in _children(expr):
-                _free_names(child, bound, out)
+            fv = frozenset()
+    table[occ.point] = fv
+    return fv
 
 
 # ---------------------------------------------------------------------------
@@ -664,12 +674,18 @@ def _free_names(occ: Occurrence, bound: frozenset, out: set):
 # ---------------------------------------------------------------------------
 
 
+def free_name_table(occ: Occurrence) -> dict:
+    """The names occurring free in each subterm, by the subterm's point."""
+
+    table: dict = {}
+    _free_in(occ, table)
+    return table
+
+
 def free_vars(occ: Occurrence) -> frozenset:
     """Names that occur free in the occurrence."""
 
-    out: set = set()
-    _free_names(occ, frozenset(), out)
-    return frozenset(out)
+    return free_name_table(occ)[occ.point]
 
 
 def all_points(occ: Occurrence) -> frozenset:

@@ -17,12 +17,20 @@ evaluator does.  The walk is total on the linear fragment: used-twice
 abstractions, abstractions stored in references, references stored in
 references, and recursive descents are rejected.
 
-The module also owns the approximated order: the Pi graph built by
-:mod:`refflow.approx`, its maximal chains, and the chain-wise
-interpretation of a subject's binding points.  Pi's visit list is a
-topological order of its edges, so one pass over it gives every point
-its strict ancestors as a Python-int bitset and ``precedes`` is a bit
-test (Agrawal, Borgida & Jagadish, SIGMOD 1989).
+The same walk records the flow facts the rest of the static half reads,
+so each program is walked once: the approximated order Pi (every point
+visited after its children, one cover edge per consecutive visit, case
+arms and the bodies behind a several-origin application forking from
+one point and joining at their parent), the binding sites, and the
+alias merges, one (binder, internal variable) pair per cell a binder's
+value may denote.  :mod:`refflow.approx` turns the merges into the
+alias base.
+
+The module also owns the order's queries: Pi's maximal chains and the
+chain-wise interpretation of a subject's binding points.  Pi's visit
+list is a topological order of its edges, so one pass over it gives
+every point its strict ancestors as a Python-int bitset and
+``precedes`` is a bit test (Agrawal, Borgida & Jagadish, SIGMOD 1989).
 """
 
 from __future__ import annotations
@@ -50,7 +58,6 @@ from .syntax import (
     Ref,
     Variable,
     _children,
-    free_vars,
 )
 from .semantics import Closure, Location
 
@@ -274,9 +281,6 @@ class TypeEnv:
     def subjects(self) -> frozenset:
         return frozenset(self._points)
 
-    def items(self):
-        return sorted(self.entries.items(), key=lambda kv: atom_key(kv[0]))
-
 
 # ---------------------------------------------------------------------------
 # The approximated order
@@ -286,7 +290,7 @@ class TypeEnv:
 class Pi:
     """Happens-before approximation: cover edges over visited points.
 
-    ``visit`` lists the points in the order the flow walk reached them,
+    ``visit`` lists the points in the order the checking walk reached them,
     and every edge runs forward along it, so ``visit`` is a topological
     order.  On first use one pass over it builds ``index`` (point to
     position in ``visit``) and ``anc`` (point to the Python-int bitset of
@@ -314,7 +318,7 @@ class Pi:
             index[point] = position
             bits = 0
             for pred in self._pred.get(point, ()):
-                # the flow walker only adds edges from a visited point to a later one
+                # the checking walk only adds edges from a visited point to a later one
                 if pred not in anc:
                     raise ValueError(f"edge {(pred, point)} runs against the visit order")
                 bits |= anc[pred] | (1 << index[pred])
@@ -504,44 +508,35 @@ MUTATIONS = (
 
 @dataclass
 class Analysis:
-    """Everything the checking walk produced, plus what the program's one
-    flow walk yields: Pi, the alias base and the binding sites, each
-    derived on first use."""
+    """Everything the program's one checking walk produced: Γ, the type of
+    every point it typed, the result type, and the flow facts recorded on
+    the way.  Pi is the visit order with its cover edges; the binding
+    sites are (name, binding point) pairs in evaluation order; each merge
+    (binder, internal variable) says the binder may denote that cell, and
+    the alias base is derived from the merges on first use."""
 
     program: Occurrence
     gamma: TypeEnv
     type_of: dict
     result_type: Type
-    lam_scopes: dict
-    claims: dict
-    mutation: str | None = None
-
-    @cached_property
-    def _walker(self):
-        from .approx import _FlowWalker
-
-        return _FlowWalker()
-
-    @cached_property
-    def pi(self) -> Pi:
-        from .approx import approximate_pi
-
-        return approximate_pi(self.program, self._walker)
+    pi: Pi
+    binding_sites: tuple
+    merges: tuple
 
     @cached_property
     def alias_base(self) -> tuple:
-        from .approx import build_alias_base
+        from .approx import _alias_blocks
 
-        return build_alias_base(self.program, self._walker)
-
-    @cached_property
-    def binding_sites(self) -> tuple:
-        from .approx import binding_sites
-
-        return binding_sites(self.program, self._walker)
+        return _alias_blocks(self.program, self.merges)
 
 
 class _Checker:
+    """The checking walk.  It visits every point after its children, in
+    evaluation order, appending it to ``visit`` with a cover edge from
+    ``last``, the point visited just before; case arms and the bodies
+    behind a several-origin application each start from the same point
+    and join at their parent with one edge per branch."""
+
     def __init__(self, program: Occurrence, mutation: str | None, allow_free: bool):
         if mutation is not None and mutation not in MUTATIONS:
             raise ValueError(f"unknown mutation {mutation!r}")
@@ -554,38 +549,50 @@ class _Checker:
         self.lam_scopes: dict = {}
         self.claims: dict = {}
         self.active: set = set()
+        self.visit: list = []
+        self.edges: set = set()
+        self.last: int | None = None
+        self.sites: list = []
+        self.merges: list = []
 
     def run(self) -> Analysis:
         violations = linear_use_check(self.program)
         if violations:
             raise violations[0]
-        scope: dict = {}
-        if self.allow_free:
-            scope = {name: Base() for name in free_vars(self.program)}
-        result = self.check(self.program, scope)
+        result = self.check(self.program, {})
         return Analysis(
             program=self.program,
             gamma=self.gamma,
             type_of=self.type_of,
             result_type=result,
-            lam_scopes=self.lam_scopes,
-            claims=self.claims,
-            mutation=self.mutation,
+            pi=Pi(tuple(self.visit), frozenset(self.edges)),
+            binding_sites=tuple(self.sites),
+            merges=tuple(self.merges),
         )
 
     def check(self, occ: Occurrence, scope: dict) -> Type:
         ty = self._dispatch(occ, scope)
-        self.type_of[occ.point] = ty
+        p = occ.point
+        self.type_of[p] = ty
+        if self.last is not None:
+            self.edges.add((self.last, p))
+        self.visit.append(p)
+        self.last = p
         return ty
 
-    def _bound_type(self, ty: Type, name: str) -> Type:
-        """The type a binder records: aliased bindings join the alias set."""
+    def _binder(self, name: str, site: int, ty: Type) -> Type:
+        """Record that ``name`` is bound at ``site`` to a value of type
+        ``ty``, with one merge per internal variable the value may
+        denote; returns the type the binder records, where aliased
+        bindings join the alias set."""
 
+        self.sites.append((name, site))
         if isinstance(ty, Arrow):
             return ty
-        if ty.kappa:
-            return Base(ty.delta, ty.kappa | {name})
-        return Base(ty.delta, frozenset())
+        if not ty.kappa:
+            return Base(ty.delta, frozenset())
+        self.merges.extend((name, internal) for internal in kappa_ivars(ty))
+        return Base(ty.delta, ty.kappa | {name})
 
     def _dispatch(self, occ: Occurrence, scope: dict) -> Type:
         expr = occ.expr
@@ -595,9 +602,12 @@ class _Checker:
                 return Base()
 
             case Variable(name):
-                if name not in scope:
-                    raise UnboundName(name, p)
-                ty = scope[name]
+                ty = scope.get(name)
+                if ty is None:
+                    # None marks a let rec name its own bound cannot see
+                    if not self.allow_free or name in scope:
+                        raise UnboundName(name, p)
+                    ty = Base()
                 if self.mutation == "tvar-drop-atom":
                     return ty
                 return push_atoms(ty, frozenset({(name, p)}))
@@ -611,8 +621,7 @@ class _Checker:
                 return self.check(inner, scope)
 
             case Let(name, bound, body):
-                bound_ty = self.check(bound, scope)
-                recorded = self._bound_type(bound_ty, name)
+                recorded = self._binder(name, bound.point, self.check(bound, scope))
                 if self.mutation == "tlet1-drop-kappa" and isinstance(recorded, Base):
                     recorded = Base(recorded.delta, frozenset())
                 self.gamma.bind(name, p, recorded)
@@ -621,13 +630,14 @@ class _Checker:
             case LetRec(name, bound, body):
                 lam = _resolve_abstraction(bound)
                 if lam is None:
-                    bound_ty = self.check(bound, scope)
-                    recorded = self._bound_type(bound_ty, name)
+                    bound_ty = self.check(bound, {**scope, name: None})
+                    recorded = self._binder(name, bound.point, bound_ty)
                     self.gamma.bind(name, p, recorded)
                     return self.check(body, {**scope, name: recorded})
                 rec_ty = Arrow(frozenset({lam.point}))
                 inner_scope = {**scope, name: rec_ty}
                 self.check(bound, inner_scope)
+                self._binder(name, bound.point, rec_ty)
                 self.gamma.bind(name, p, rec_ty)
                 return self.check(body, inner_scope)
 
@@ -652,14 +662,16 @@ class _Checker:
                         self.gamma.latest = dict(snapshot)
                     lam = self.lam_occ[lam_point]
                     param = lam.expr.param
-                    recorded = self._bound_type(arg_ty, param)
+                    recorded = self._binder(param, arg.point, arg_ty)
                     self.gamma.bind(param, arg.point, recorded)
                     body_scope = {**self.lam_scopes[lam_point], param: recorded}
                     self.active.add(lam_point)
+                    self.last = arg.point
                     try:
                         body_ty = self.check(lam.expr.body, body_scope)
                     finally:
                         self.active.discard(lam_point)
+                    self.edges.add((lam.expr.body.point, p))
                     result = body_ty if result is None else type_union(result, body_ty, p)
                     branch_latests.append(dict(self.gamma.latest))
                 if forked:
@@ -721,7 +733,7 @@ class _Checker:
                     branch_scope = scope
                     match pattern:
                         case PVar(name):
-                            recorded = self._bound_type(scrut_ty, name)
+                            recorded = self._binder(name, scrutinee.point, scrut_ty)
                             self.gamma.bind(name, scrutinee.point, recorded)
                             branch_scope = {**scope, name: recorded}
                         case PWildcard():
@@ -731,7 +743,9 @@ class _Checker:
                                 raise CaseOnAbstraction(p)
                         case PTuple(_):
                             raise UnsupportedPattern(p)
+                    self.last = scrutinee.point
                     branch_ty = self.check(clause, branch_scope)
+                    self.edges.add((clause.point, p))
                     result = branch_ty if result is None else type_union(result, branch_ty, p)
                     branch_latests.append(dict(self.gamma.latest))
                 self._merge_branches(snapshot, branch_latests, p)
@@ -775,9 +789,9 @@ def typecheck(
 ) -> Analysis:
     """Type the program, or raise a TypeCheckError explaining the rejection.
 
-    With ``allow_free`` the program's free variables are admitted as
-    opaque inputs of empty base type, so their reads still surface as
-    atoms in the result's dependency set.
+    With ``allow_free`` a name bound nowhere around its occurrence is
+    admitted as an opaque input of empty base type, so its reads still
+    surface as atoms in the result's dependency set.
     """
 
     return _Checker(program, mutation, allow_free).run()

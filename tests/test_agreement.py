@@ -5,6 +5,9 @@ Tags: [DERIVED] hand-computed oracle, [TRIVIAL] structural sanity.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +22,7 @@ from refflow.agreement import (
 )
 from refflow.semantics import DepPair, DepState, Location, evaluate
 from refflow.syntax import free_vars, parse, pretty
-from refflow.typesys import Base, TypeCheckError, typecheck
+from refflow.typesys import MUTATIONS, Base, TypeCheckError, typecheck
 
 
 # ---------------------------------------------------------------------------
@@ -180,3 +183,24 @@ def test_settle_flags_binding_lemma():
     report = AgreementReport()
     report.binding_lemma.check(False, witness="x rebound in its own scope")
     assert report.settle().outcome == "fail"
+
+
+# ---------------------------------------------------------------------------
+# Pinned reports
+# ---------------------------------------------------------------------------
+
+
+def test_reports_under_every_mutation_pinned():
+    """[DERIVED] The oracle's reports on the first 300 corpus programs,
+    unmutated and under each mutation (a rejection recorded as its
+    message), hash to a pinned digest."""
+    rows = []
+    for mutation in (None, *MUTATIONS):
+        for seed in range(300):
+            prog = gen_program(seed, 1 + seed % 30)
+            try:
+                rows.append(check_soundness(prog, mutation=mutation).to_dict())
+            except TypeCheckError as err:
+                rows.append(str(err))
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()[:16]
+    assert digest == "ff512f009f54f4b6"

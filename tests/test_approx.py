@@ -5,13 +5,16 @@ Tags: [DERIVED] hand-computed oracle, [TRIVIAL] structural sanity.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from refflow.approx import approximate_pi, binding_sites, build_alias_base
 from refflow.semantics import evaluate
 from refflow.syntax import parse
-from refflow.typesys import IVar
+from refflow.typesys import Base, IVar, atom_key, subject_key, typecheck
 
 from conftest import ALIAS_CHAIN_SRC
 
@@ -130,35 +133,81 @@ def test_shared_blocks_name_a_reference(seed, size):
 
 
 # ---------------------------------------------------------------------------
-# One flow walk per program
+# One walk per program
 # ---------------------------------------------------------------------------
 
 
-def test_analysis_artifacts_equal_the_standalone_walks():
-    """[DERIVED] Pi, the alias base and the binding sites an analysis
-    derives from its one walk equal what the standalone entry points
-    compute, on 200 generated programs."""
-    from refflow.agreement import gen_program
-    from refflow.typesys import typecheck
+# Hand programs for the pinned digest, one per walk shape the corpus lacks.
+HAND_PROGRAMS = (
+    # a forked application: f may be either abstraction
+    r"(let f (case true [true -> (\a. (ref a)), false -> (\b. (ref (+ b 1)))]) (let r (f 3) (! r)))",
+    r"(let rec f (\x. (+ x 1)) (f 2))",
+    "(let a (+ h 1) (let b (ref a) (let c b (! c))))",  # h is free
+    r"(let f (\x. (ref x)) 1)",  # the abstraction is never applied
+    "(let r (ref 1) (case r [s -> (s := (! r))]))",  # the pattern binds a reference
+)
 
-    for seed in range(200):
-        prog = gen_program(seed, 1 + seed % 30)
-        analysis = typecheck(prog)
-        pi = approximate_pi(prog)
-        assert (analysis.pi.visit, analysis.pi.edges) == (pi.visit, pi.edges)
-        assert analysis.alias_base == build_alias_base(prog)
-        assert analysis.binding_sites == binding_sites(prog)
+
+def _type_row(ty) -> list:
+    if isinstance(ty, Base):
+        return ["base", sorted(atom_key(a) for a in ty.delta), sorted(subject_key(s) for s in ty.kappa)]
+    return ["arrow", sorted(ty.origins), sorted(atom_key(a) for a in ty.pending)]
+
+
+def _static_row(prog) -> list:
+    analysis = typecheck(prog, allow_free=True)
+    return [
+        list(analysis.pi.visit),
+        sorted(analysis.pi.edges),
+        list(analysis.binding_sites),
+        [sorted(subject_key(s) for s in block) for block in analysis.alias_base],
+        sorted([atom_key(atom), _type_row(ty)] for atom, ty in analysis.gamma.entries.items()),
+        sorted([point, _type_row(ty)] for point, ty in analysis.type_of.items()),
+    ]
+
+
+def test_static_artifacts_pinned():
+    """[DERIVED] Pi's visit order and edges, the binding sites, the alias
+    base, Γ and the per-point types of the 1000 corpus programs and the
+    hand programs hash to a pinned digest: any change to the walk's
+    order, edges, sites, merges or types moves it."""
+    from refflow.agreement import gen_program
+
+    programs = [gen_program(seed, 1 + seed % 30) for seed in range(1000)]
+    programs += [parse(source) for source in HAND_PROGRAMS]
+    rows = [_static_row(prog) for prog in programs]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+    assert digest == "39a7f1014afc6280"
+
+
+def test_hand_program_artifacts():
+    """[DERIVED] Both bodies behind the forked application start from the
+    argument (15) and join at the application (13), unordered between
+    each other, and both parameters bind at the argument; the body of the
+    unapplied abstraction is neither visited nor bound; the pattern
+    binder joins the block of the cell it names."""
+    forked = typecheck(parse(HAND_PROGRAMS[0]))
+    assert {(15, 6), (15, 10), (5, 13), (8, 13)} <= forked.pi.edges
+    assert not forked.pi.precedes(6, 10) and not forked.pi.precedes(10, 6)
+    assert forked.binding_sites == (("f", 2), ("a", 15), ("b", 15), ("r", 13))
+    assert frozenset({"r", IVar(5), IVar(8)}) in forked.alias_base
+    unapplied = typecheck(parse(HAND_PROGRAMS[3]))
+    assert unapplied.pi.visit == (2, 5, 1)
+    assert unapplied.binding_sites == (("f", 2),)
+    assert frozenset({"x"}) in unapplied.alias_base
+    by_pattern = typecheck(parse(HAND_PROGRAMS[4]))
+    assert by_pattern.alias_base == (frozenset({"r", "s", IVar(2)}),)
 
 
 def _count_walks(monkeypatch) -> list:
-    """Patch the flow walker to count its root calls; returns the counter."""
-    from refflow.approx import _FlowWalker
+    """Patch the checking walk to count its root calls; returns the counter."""
+    from refflow.typesys import _Checker
 
-    original = _FlowWalker.walk
+    original = _Checker.check
     depth = [0]
     roots = [0]
 
-    def walk(self, *args):
+    def check(self, *args):
         roots[0] += depth[0] == 0
         depth[0] += 1
         try:
@@ -166,16 +215,16 @@ def _count_walks(monkeypatch) -> list:
         finally:
             depth[0] -= 1
 
-    monkeypatch.setattr(_FlowWalker, "walk", walk)
+    monkeypatch.setattr(_Checker, "check", check)
     return roots
 
 
 def test_each_pipeline_walks_once(monkeypatch):
-    """[DERIVED] The oracle, the noninterference check and typecheck's
-    Pi plus alias base each walk the program once."""
+    """[DERIVED] The oracle, the noninterference check, and typecheck
+    with Pi, the alias base and the binding sites each walk the program
+    once; each standalone entry point walks it once."""
     from refflow.agreement import check_soundness
     from refflow.security import check_noninterference
-    from refflow.typesys import typecheck
 
     prog = parse(ALIAS_CHAIN_SRC)
     roots = _count_walks(monkeypatch)

@@ -9,6 +9,7 @@ import contextlib
 import io
 import json
 import re
+import sys
 
 import pytest
 
@@ -196,6 +197,16 @@ def test_bad_labeling_exits_two(tmp_path):
     labels.write_text("h secret\n")
     code, _ = run_cli(["nifc", "--labels", str(labels), "--expr", "(1)"])
     assert code == 2
+
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no limit on integer digits")
+def test_overlong_integer_literal_exits_two(capsys):
+    """[DERIVED] A 5000-digit literal is a parse error with exit 2 and a
+    one-line message, not a traceback."""
+    assert main(["parse", "--expr", "1" * 5000]) == 2
+    err = capsys.readouterr().err
+    assert err == "parse error: integer literal of 5000 digits is too long (line 1, column 1)\n"
 
 
 # ---------------------------------------------------------------------------

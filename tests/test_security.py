@@ -111,6 +111,16 @@ def test_default_labeling_is_deterministic():
         default_labeling(prog, stride=0)
 
 
+def test_default_labeling_names_every_binder():
+    """[DERIVED] The labeling names every binder in the syntax plus the
+    free names, without typing the program: the parameter of an
+    abstraction that is never applied is named, and a program the
+    checker rejects still gets a labeling."""
+    assert default_labeling(parse(r"(let f (\x. (ref x)) 1)")) == {"f": HIGH, "x": LOW}
+    rejected = parse(r"(let g (\y. y) (! (g h)))")
+    assert default_labeling(rejected) == {"g": HIGH, "h": LOW, "y": LOW}
+
+
 # ---------------------------------------------------------------------------
 # Expansion
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ source material's worked examples, [TRIVIAL] structural sanity.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -335,6 +337,29 @@ def test_pinned_errors(source, error, message):
         parse(source)
     assert type(exc.value) is error
     assert str(exc.value) == message
+
+
+LONG_INT = "1" * 5000
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no limit on integer digits")
+@pytest.mark.parametrize(
+    "source, column",
+    [(LONG_INT, 1), (f"x@{LONG_INT}", 3), (f"(case 1 [{LONG_INT} -> 2])", 10)],
+    ids=["constant", "label", "pattern"],
+)
+def test_overlong_integer_literal_is_a_parse_error(source, column):
+    """[DERIVED] An INT with more digits than ``int`` converts is a
+    ParseError at the literal, as a constant, an ``@N`` label and a
+    natural-number pattern alike."""
+    with pytest.raises(ParseError) as exc:
+        parse(source)
+    assert str(exc.value) == f"integer literal of 5000 digits is too long (line 1, column {column})"
+
+
+def test_integer_literal_at_the_digit_limit_parses():
+    """[TRIVIAL] 4300 digits, the default limit, still read as a number."""
+    assert parse("9" * 4300).expr == Constant(10**4300 - 1)
 
 
 def test_unicode_letters_and_decimal_digits_still_lex():

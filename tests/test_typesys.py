@@ -291,7 +291,7 @@ def test_order_matches_dfs_on_random_forward_edges(visit, positions):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=100_000), st.integers(min_value=1, max_value=30))
 def test_order_matches_dfs_on_generated_programs(seed, size):
-    """[DERIVED] The flow walk's orders agree with DFS too."""
+    """[DERIVED] The checking walk's orders agree with DFS too."""
     assert_order_matches_dfs(typecheck(gen_program(seed, size)).pi)
 
 
