@@ -18,12 +18,22 @@ six clauses:
 A report carries one verdict per clause with witnesses on failure plus
 an activity counter saying how often the clause actually had something
 to check, so a fuzz campaign can tell vacuous passes from real ones.
+
+What the judge pays per event follows what is new or failing.  Checks
+that pass are counted in bulk and format nothing; witnesses are built,
+sorted, only for failures.  A dependency pair costs one set difference
+for its variable atoms and one decision per distinct location.  The
+environment and the store are checked only for bindings and writes no
+earlier event showed, and an environment seen at the previous event is
+skipped outright.  The inverse environment is built at most once per
+environment, and only when a location check reads it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .semantics import (
     DepPair,
@@ -70,8 +80,14 @@ class ClauseVerdict:
 
     def check(self, ok: bool, witness: str):
         self.activity += 1
-        if not ok and len(self.witnesses) < 5:
-            self.witnesses = self.witnesses + (witness,)
+        if not ok:
+            self.fail(witness)
+
+    def fail(self, witness: str):
+        """Record a failure; the caller has counted it in ``activity``."""
+
+        if len(self.witnesses) < 5:
+            self.witnesses += (witness,)
 
 
 @dataclass(slots=True)
@@ -144,16 +160,20 @@ def _delta_subjects(delta: frozenset) -> frozenset:
     return frozenset(subject for subject, _ in delta)
 
 
+def _loc_atom_key(atom) -> tuple:
+    return (atom[0].index, atom[1])
+
+
+def _loc_index(location: Location) -> int:
+    return location.index
+
+
 def _covering_ivars(dep: DepState, gamma: TypeEnv, location: Location, candidates) -> tuple:
     """Internal variables whose typing covers every binding point of the
     location: for each p with (location, p) in dom(w), (vx, p) in dom(Γ)."""
 
     wpoints = dep.bound_points(location)
-    covering = []
-    for internal in candidates:
-        if all(gamma.at(internal, point) is not None for point in wpoints):
-            covering.append(internal)
-    return tuple(covering)
+    return tuple(internal for internal in candidates if wpoints <= gamma.bound_points(internal))
 
 
 def _gamma_ivars(gamma: TypeEnv) -> tuple:
@@ -167,74 +187,45 @@ def _gamma_ivars(gamma: TypeEnv) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _dep_agree(report, holders_of: dict, pair: DepPair, delta: frozenset, blocks: dict,
-               where: str):
-    clause = report.clauses["dependency"]
-    for atom in sorted(pair.vars):
-        clause.check(atom in delta, f"{where}: variable occurrence {show_atom(atom)} not in delta")
-    represented = _delta_subjects(delta)
-    for location, point in sorted(pair.locs, key=lambda a: (a[0].index, a[1])):
-        holders = holders_of.get(location, ())
-        if holders:
-            block = blocks.get(holders[0])
+def _dep_agree(clause: ClauseVerdict, pair: DepPair, delta: frozenset, holders, represented,
+               blocks: dict, where: str):
+    """One check per occurrence in the pair; only the failing ones are
+    sorted and shown.  ``holders`` maps a location to the sorted names
+    holding it, ``represented`` a delta to the subjects it mentions."""
+
+    clause.activity += len(pair.vars) + len(pair.locs)
+    for atom in sorted(pair.vars - delta):
+        clause.fail(f"{where}: variable occurrence {show_atom(atom)} not in delta")
+    if not pair.locs:
+        return
+    # a location atom's verdict depends on its location only
+    subjects = represented(delta)
+    uncovered: dict = {}  # failing location -> its holders
+    for location in {location for location, _ in pair.locs}:
+        names = holders(location)
+        if names:
+            block = blocks.get(names[0])
             ok = (
                 block is not None
-                and all(name in block for name in holders)
-                and bool(block & represented)
-            )
-            clause.check(
-                ok,
-                f"{where}: holders {list(holders)} of {location}@{point} not in a delta-represented block",
+                and all(name in block for name in names)
+                and bool(block & subjects)
             )
         else:
-            ok = any(isinstance(subject, IVar) for subject in represented)
-            clause.check(
-                ok,
-                f"{where}: no internal-variable occurrence in delta covers unreachable {location}@{point}",
+            ok = any(isinstance(subject, IVar) for subject in subjects)
+        if not ok:
+            uncovered[location] = names
+    if not uncovered:
+        return
+    for location, point in sorted((a for a in pair.locs if a[0] in uncovered), key=_loc_atom_key):
+        names = uncovered[location]
+        if names:
+            clause.fail(
+                f"{where}: holders {list(names)} of {location}@{point} not in a delta-represented block"
             )
-
-
-def _alias_agree(report, holders_of: dict, dep: DepState, location: Location, gamma: TypeEnv,
-                 kappa: frozenset, blocks: dict, where: str):
-    clause = report.clauses["alias"]
-    kappa_internals = sorted((s for s in kappa if isinstance(s, IVar)), key=subject_key)
-    covering = _covering_ivars(dep, gamma, location, kappa_internals)
-    clause.check(
-        bool(covering),
-        f"{where}: no internal variable in kappa covers all binding points of {location}",
-    )
-    if not covering:
-        return
-    holders = holders_of.get(location, ())
-    if holders:
-        block = blocks.get(holders[0])
-        ok = (
-            block is not None
-            and all(name in block for name in holders)
-            and any(internal in block for internal in covering)
-        )
-        clause.check(
-            ok,
-            f"{where}: holders {list(holders)} of {location} share no block with its internal variable",
-        )
-    else:
-        ok = any(internal in blocks for internal in covering)
-        clause.check(ok, f"{where}: covering internal variable of {location} is in no block")
-
-
-def _type_agree(report, holders_of: dict, value, dep: DepState, pair: DepPair, gamma: TypeEnv,
-                ty: Type, blocks: dict, where: str):
-    if isinstance(value, Location):
-        if not isinstance(ty, Base):
-            report.clauses["type"].check(False, f"{where}: location {value} typed as arrow {ty}")
-            return
-        _dep_agree(report, holders_of, pair, ty.delta, blocks, where)
-        _alias_agree(report, holders_of, dep, value, gamma, ty.kappa, blocks, where)
-        return
-    if isinstance(ty, Arrow):
-        _dep_agree(report, holders_of, pair, ty.pending, blocks, where)
-        return
-    _dep_agree(report, holders_of, pair, ty.delta, blocks, where)
+        else:
+            clause.fail(
+                f"{where}: no internal-variable occurrence in delta covers unreachable {location}@{point}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +250,13 @@ def well_typed_env(gamma: TypeEnv, pi: Pi, env: dict, loc_origin: dict | None = 
 def dep_agree(env: dict, pair: DepPair, delta: frozenset, alias_base: tuple) -> bool:
     """Whether a static dependency set covers a runtime dependency pair."""
 
-    report = AgreementReport()
-    _dep_agree(report, _env_inverse(env), pair, delta, _block_map(alias_base), "query")
-    return report.clauses["dependency"].holds
+    clause = ClauseVerdict()
+    holders_of = _env_inverse(env)
+    _dep_agree(
+        clause, pair, delta, lambda location: holders_of.get(location, ()), _delta_subjects,
+        _block_map(alias_base), "query",
+    )
+    return clause.holds
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +265,18 @@ def dep_agree(env: dict, pair: DepPair, delta: frozenset, alias_base: tuple) -> 
 
 
 class _Judge:
-    """Applies the clauses to events as a run unfolds."""
+    """Applies the clauses to events as a run unfolds.
+
+    Its caches (the subjects of each delta, the inverse of the current
+    environment, Pi's sorted points) live only as long as one run.
+    """
 
     def __init__(self, analysis: Analysis, report: AgreementReport):
         self.analysis = analysis
         self.gamma = analysis.gamma
         self.pi = analysis.pi
         self.report = report
+        self.clauses = report.clauses
         # per-program indices, built once: Γ is complete before the run starts
         self.ivars = _gamma_ivars(self.gamma)
         self.blocks = _block_map(analysis.alias_base)
@@ -284,70 +284,141 @@ class _Judge:
         self.stack: list = []
         self.seen_env: set = set()
         self.seen_store: set = set()
+        self._subjects: dict = {}  # delta -> the subjects it mentions
+        # An environment dict is never changed once evaluation uses it, so
+        # one seen again needs neither a new inverse nor a new check.
+        self._env: dict | None = None
+        self._inverse: dict | None = None  # of self._env, built on first use
+        self._checked_env: dict | None = None
+        self._sorted_points: list | None = None
+
+    # -- caches -----------------------------------------------------------------
+
+    def holders(self, location: Location) -> tuple:
+        """The sorted names holding the location in the current environment."""
+
+        if self._inverse is None:
+            self._inverse = _env_inverse(self._env)
+        return self._inverse.get(location, ())
+
+    def represented(self, delta: frozenset) -> frozenset:
+        subjects = self._subjects.get(delta)
+        if subjects is None:
+            subjects = self._subjects[delta] = _delta_subjects(delta)
+        return subjects
+
+    def scan_points(self):
+        """Pi's points in order, sorted on first use (the ip fallback)."""
+
+        if self._sorted_points is None:
+            self._sorted_points = sorted(self.pi.points)
+        yield from self._sorted_points
 
     # -- per-clause primitives -----------------------------------------------
 
-    def check_env(self, env: dict, dep: DepState, where: str):
-        for name in sorted(env):
-            value, bind_point = env[name]
-            key = (name, bind_point)
-            if key in self.seen_env:
-                continue
-            self.seen_env.add(key)
-            points = sorted(self.gamma.bound_points(name))
-            self.report.clauses["environment"].check(
-                bool(points), f"{where}: no typing entry mentions {name}"
-            )
-            if not points:
-                continue
-            admitted = any(type_value(value, self.gamma.at(name, pt)) for pt in points)
-            self.report.clauses["type"].check(
-                admitted, f"{where}: value of {name} inhabits none of its recorded types"
-            )
+    def dep_agree(self, pair: DepPair, delta: frozenset, where: str):
+        _dep_agree(
+            self.clauses["dependency"], pair, delta, self.holders, self.represented,
+            self.blocks, where,
+        )
 
-    def check_store(self, holders_of: dict, sto: dict, dep: DepState, where: str):
-        for location in sorted(sto, key=lambda loc: loc.index):
-            current = dep.latest.get(location)
-            key = (location, current)
-            if key in self.seen_store:
-                continue
-            self.seen_store.add(key)
-            covering = _covering_ivars(dep, self.gamma, location, self.ivars)
-            self.report.clauses["alias"].check(
-                bool(covering),
-                f"{where}: no internal variable covers the binding points of {location}",
+    def alias_agree(self, dep: DepState, location: Location, kappa: frozenset, where: str):
+        clause = self.clauses["alias"]
+        kappa_internals = sorted((s for s in kappa if isinstance(s, IVar)), key=subject_key)
+        covering = _covering_ivars(dep, self.gamma, location, kappa_internals)
+        clause.activity += 1
+        if not covering:
+            clause.fail(f"{where}: no internal variable in kappa covers all binding points of {location}")
+            return
+        holders = self.holders(location)
+        clause.activity += 1
+        if holders:
+            block = self.blocks.get(holders[0])
+            ok = (
+                block is not None
+                and all(name in block for name in holders)
+                and any(internal in block for internal in covering)
             )
-            if not covering or current is None:
+            if not ok:
+                clause.fail(
+                    f"{where}: holders {list(holders)} of {location} share no block with its internal variable"
+                )
+        elif not any(internal in self.blocks for internal in covering):
+            clause.fail(f"{where}: covering internal variable of {location} is in no block")
+
+    def type_agree(self, value, dep: DepState, pair: DepPair, ty: Type, where: str):
+        if isinstance(value, Location):
+            if not isinstance(ty, Base):
+                self.clauses["type"].check(False, f"{where}: location {value} typed as arrow {ty}")
+                return
+            self.dep_agree(pair, ty.delta, where)
+            self.alias_agree(dep, value, ty.kappa, where)
+            return
+        self.dep_agree(pair, ty.pending if isinstance(ty, Arrow) else ty.delta, where)
+
+    def check_env(self, env: dict, where: str):
+        """Each binding once: only those no earlier event showed are sorted."""
+
+        if env is self._checked_env:
+            return
+        self._checked_env = env
+        seen = self.seen_env
+        fresh = [name for name, (_, bind_point) in env.items() if (name, bind_point) not in seen]
+        environment, types = self.clauses["environment"], self.clauses["type"]
+        for name in sorted(fresh):
+            value, bind_point = env[name]
+            seen.add((name, bind_point))
+            points = sorted(self.gamma.bound_points(name))
+            environment.activity += 1
+            if not points:
+                environment.fail(f"{where}: no typing entry mentions {name}")
+                continue
+            types.activity += 1
+            if not any(type_value(value, self.gamma.at(name, pt)) for pt in points):
+                types.fail(f"{where}: value of {name} inhabits none of its recorded types")
+
+    def check_store(self, sto: dict, dep: DepState, where: str):
+        """Each (location, newest write) once: only new ones are sorted."""
+
+        latest, seen = dep.latest, self.seen_store
+        fresh = [location for location in sto if (location, latest.get(location)) not in seen]
+        alias, types = self.clauses["alias"], self.clauses["type"]
+        for location in sorted(fresh, key=_loc_index):
+            current = latest.get(location)
+            seen.add((location, current))
+            covering = _covering_ivars(dep, self.gamma, location, self.ivars)
+            alias.activity += 1
+            if not covering:
+                alias.fail(f"{where}: no internal variable covers the binding points of {location}")
+                continue
+            if current is None:
                 continue
             internal = covering[0]
             stored_ty = self.gamma.at(internal, current)
-            self.report.clauses["alias"].check(
-                stored_ty is not None,
-                f"{where}: no typing entry {internal}@{current} matches the newest write",
-            )
+            alias.activity += 1
             if stored_ty is None:
+                alias.fail(f"{where}: no typing entry {internal}@{current} matches the newest write")
                 continue
             content = sto[location]
             # the entry fuses the content's delta with the location's
             # alias set; the content itself is never reference-typed
             content_ty = Base(stored_ty.delta) if isinstance(stored_ty, Base) else stored_ty
-            self.report.clauses["type"].check(
-                type_value(content, content_ty),
-                f"{where}: content of {location} does not inhabit {internal}@{current}",
-            )
+            types.activity += 1
+            if not type_value(content, content_ty):
+                types.fail(f"{where}: content of {location} does not inhabit {internal}@{current}")
             written_pair = dep.w.get((location, current), DepPair())
-            _type_agree(
-                self.report, holders_of, content, dep, written_pair, self.gamma,
-                stored_ty, self.blocks, f"{where}: {location}@{current}",
-            )
+            self.type_agree(content, dep, written_pair, stored_ty, f"{where}: {location}@{current}")
 
     def check_order(self, dep: DepState):
-        clause = self.report.clauses["order"]
-        for edge in sorted(dep.edges):
-            clause.check(
-                edge in self.pi.edges or self.pi.precedes(*edge),
-                f"realized edge {edge} missing from the approximated order",
-            )
+        clause = self.clauses["order"]
+        edges, precedes = self.pi.edges, self.pi.precedes
+        missing = []
+        for edge in dep.iter_edges():
+            clause.activity += 1
+            if edge not in edges and not precedes(*edge):
+                missing.append(edge)
+        for edge in sorted(missing):
+            clause.fail(f"realized edge {edge} missing from the approximated order")
 
     def check_ip(self, dep: DepState, at: int | None = None):
         """Some query point's chain-wise interpretation must contain the
@@ -355,9 +426,9 @@ class _Judge:
         interpretation; the semantic point itself and the final point
         answer nearly every case, the scan covers the rest."""
 
-        clause = self.report.clauses["ip"]
+        clause = self.clauses["ip"]
         for location in sorted(
-            (s for s in dep.subjects() if isinstance(s, Location)), key=lambda loc: loc.index
+            (s for s in dep.subjects() if isinstance(s, Location)), key=_loc_index
         ):
             try:
                 atom = ip_sem(location, dep)
@@ -368,22 +439,14 @@ class _Judge:
                 continue
             _, sem_point = atom
             candidates = _covering_ivars(dep, self.gamma, location, self.ivars)
-            queries = [sem_point]
-            if at is not None:
-                queries.append(at)
-            queries.extend(sorted(self.pi.points))
-            ok = False
-            for internal in candidates:
-                if ok:
-                    break
-                for query in queries:
-                    if (internal, sem_point) in ip_type(internal, self.gamma, self.pi, at=query):
-                        ok = True
-                        break
-            clause.check(
-                ok,
-                f"{location} interpreted at {sem_point}, not among chain-wise interpretations",
-            )
+            first = (sem_point,) if at is None else (sem_point, at)
+            clause.activity += 1
+            if not any(
+                (internal, sem_point) in ip_type(internal, self.gamma, self.pi, at=query)
+                for internal in candidates
+                for query in chain(first, self.scan_points())
+            ):
+                clause.fail(f"{location} interpreted at {sem_point}, not among chain-wise interpretations")
 
     # -- event hook ------------------------------------------------------------
 
@@ -392,12 +455,13 @@ class _Judge:
             self.stack.append(event.occ.point)
             return
         if event.kind == "bind":
-            if isinstance(event.subject, str):
+            subject = event.subject
+            if isinstance(subject, str):
+                lemma = self.report.binding_lemma
+                lemma.activity += len(self.stack)
                 for frame in self.stack:
-                    self.report.binding_lemma.check(
-                        event.subject not in self.fv_table.get(frame, frozenset()),
-                        f"{event.subject} bound during evaluation of point {frame} where it is free",
-                    )
+                    if subject in self.fv_table.get(frame, ()):
+                        lemma.fail(f"{subject} bound during evaluation of point {frame} where it is free")
             return
         # end event
         if self.stack:
@@ -405,21 +469,18 @@ class _Judge:
         point = event.occ.point
         ty = self.analysis.type_of.get(point)
         if ty is None:
-            self.report.clauses["type"].check(
-                False, f"point {point} was evaluated but never typed"
-            )
+            self.clauses["type"].check(False, f"point {point} was evaluated but never typed")
             return
         where = f"point {point}"
         if isinstance(event.value, Location) and not isinstance(ty, Base):
-            self.report.clauses["type"].check(False, f"{where}: location typed as arrow {ty}")
+            self.clauses["type"].check(False, f"{where}: location typed as arrow {ty}")
             return
-        holders_of = _env_inverse(event.env)
-        _type_agree(
-            self.report, holders_of, event.value, event.dep, event.pair,
-            self.gamma, ty, self.blocks, where,
-        )
-        self.check_env(event.env, event.dep, where)
-        self.check_store(holders_of, event.store, event.dep, where)
+        if event.env is not self._env:
+            self._env = event.env
+            self._inverse = None
+        self.type_agree(event.value, event.dep, event.pair, ty, where)
+        self.check_env(event.env, where)
+        self.check_store(event.store, event.dep, where)
 
 
 # ---------------------------------------------------------------------------

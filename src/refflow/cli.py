@@ -12,8 +12,9 @@ Six commands, one per stage:
 * ``nifc`` checks noninterference under a labeling.
 
 Exit codes: 0 when everything holds, 1 when the analysis rejects the
-program or a verdict fails, 2 on usage or parse errors, 3 when a run
-is inconclusive because the step budget ran out.
+program or a verdict fails, 2 on usage or parse errors and on input
+files that are not UTF-8, 3 when a run is inconclusive because the step
+budget ran out.
 
 ``--json`` switches stdout to a single machine-readable document; the
 two modes never mix on one stream.  Machine output is byte-stable for
@@ -196,11 +197,26 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+class InputError(Exception):
+    """An input file that is not UTF-8 text."""
+
+
+def _read_text(path: str) -> str:
+    """The file decoded as UTF-8, with newlines translated as text mode does."""
+
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise InputError(f"{path}: not UTF-8 at byte {err.start}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _load_program(args) -> Occurrence:
     if args.expr is not None:
         return parse(args.expr)
-    with open(args.source, encoding="utf-8") as handle:
-        return parse(handle.read())
+    return parse(_read_text(args.source))
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +374,18 @@ def _cmd_check(args) -> int:
     return _report_exit(report.outcome)
 
 
+def _first_witness(report) -> str:
+    """The first failing clause's first witness, else the binding lemma's,
+    else the report's note (a runtime error or the exhausted budget)."""
+
+    failed = report.failed_clauses()
+    if failed:
+        return report.clauses[failed[0]].witnesses[0]
+    if report.binding_lemma.witnesses:
+        return report.binding_lemma.witnesses[0]
+    return report.note
+
+
 def _cmd_fuzz(args) -> int:
     if args.count < 1 or args.size < 1:
         return _fail("count and size must be positive", EXIT_USAGE)
@@ -375,14 +403,17 @@ def _cmd_fuzz(args) -> int:
             )
             continue
         tally[report.outcome] += 1
-        records.append(
-            {
-                "seed": seed,
-                "size": size,
-                "outcome": report.outcome,
-                "failed_clauses": list(report.failed_clauses()),
-            }
-        )
+        record = {
+            "seed": seed,
+            "size": size,
+            "outcome": report.outcome,
+            "failed_clauses": list(report.failed_clauses()),
+        }
+        if report.outcome != "pass":
+            record["program"] = pretty(program)
+            record["witness"] = _first_witness(report)
+            record["steps"] = report.steps
+        records.append(record)
     if args.json:
         _emit_json({"records": records, "summary": tally})
     else:
@@ -391,6 +422,10 @@ def _cmd_fuzz(args) -> int:
             if record["failed_clauses"]:
                 line += " " + ",".join(record["failed_clauses"])
             print(line)
+            if "program" in record:
+                print(f"  steps: {record['steps']}")
+                print(f"  witness: {record['witness']}")
+                print(f"  program: {record['program']}")
         print(
             "summary: pass {pass} fail {fail} inconclusive {inconclusive} rejected {rejected}".format(
                 **tally
@@ -407,8 +442,7 @@ def _cmd_nifc(args) -> int:
     program = _load_program(args)
     labeling: dict = {}
     if args.labels is not None:
-        with open(args.labels, encoding="utf-8") as handle:
-            labeling = parse_labeling(handle.read())
+        labeling = parse_labeling(_read_text(args.labels))
     try:
         verdict = check_noninterference(program, labeling)
     except TypeCheckError as err:
@@ -502,6 +536,8 @@ def main(argv=None) -> int:
         return _fail(f"parse error: {err}", EXIT_USAGE)
     except LabelingError as err:
         return _fail(f"labeling error: {err}", EXIT_USAGE)
+    except InputError as err:
+        return _fail(f"input error: {err}", EXIT_USAGE)
     except OSError as err:
         return _fail(str(err), EXIT_USAGE)
 

@@ -95,12 +95,31 @@ def default_labeling(program: Occurrence, stride: int = 3) -> dict:
 
 @dataclass(frozen=True, slots=True)
 class Flow:
-    """One witnessed leak: a high occurrence reaching a low binding."""
+    """One witnessed leak: a high occurrence reaching a low binding.
 
-    subject: str
-    occurrence: int
-    binder: str
-    binding: int
+    A verdict can hold quadratically many flows, so a flow is two
+    references to pairs it shares with its verdict's other flows: the
+    occurrence atom (subject, point) and the binding site (binder, point).
+    """
+
+    atom: tuple
+    site: tuple
+
+    @property
+    def subject(self) -> str:
+        return self.atom[0]
+
+    @property
+    def occurrence(self) -> int:
+        return self.atom[1]
+
+    @property
+    def binder(self) -> str:
+        return self.site[0]
+
+    @property
+    def binding(self) -> int:
+        return self.site[1]
 
     def __str__(self) -> str:
         return f"{self.subject}@{self.occurrence} reaches binding of {self.binder} at {self.binding}"
@@ -167,8 +186,13 @@ def expanded_origins(ty: Type, gamma: TypeEnv, pi: Pi, binding: int) -> frozense
     return frozenset(seen)
 
 
+def _flow_key(flow: Flow) -> tuple:
+    (subject, occurrence), (binder, binding) = flow.atom, flow.site
+    return (binding, occurrence, subject, binder)
+
+
 def _sorted_flows(flows: set) -> tuple:
-    return tuple(sorted(flows, key=lambda f: (f.binding, f.occurrence, f.subject, f.binder)))
+    return tuple(sorted(flows, key=_flow_key))
 
 
 def check_noninterference(program: Occurrence, labeling: dict) -> NoninterferenceVerdict:
@@ -180,14 +204,16 @@ def check_noninterference(program: Occurrence, labeling: dict) -> Noninterferenc
     pi = analysis.pi
     flows: set = set()
     chain_flows: set = set()
-    for binder, binding in analysis.binding_sites:
+    for site in analysis.binding_sites:
+        binder, binding = site
         if level_of(labeling, binder) != LOW:
             continue
         reach = expanded_origins(analysis.type_of[binding], analysis.gamma, pi, binding)
-        for subject, point in reach:
+        for atom in reach:
+            subject, point = atom
             if isinstance(subject, IVar) or level_of(labeling, subject) != HIGH:
                 continue
-            flow = Flow(subject, point, binder, binding)
+            flow = Flow(atom, site)
             flows.add(flow)
             if pi.at_or_before(point, binding):
                 chain_flows.add(flow)
@@ -214,7 +240,8 @@ def semantic_low_flows(program: Occurrence, labeling: dict, *, budget: int = 1_0
     outcome = evaluate(program, budget=budget)
     w = outcome.dep.w
     flows: set = set()
-    for (binder, binding), pair in sorted(w.items(), key=_w_key):
+    for site, pair in sorted(w.items(), key=_w_key):
+        binder = site[0]
         if not isinstance(binder, str) or level_of(labeling, binder) != LOW:
             continue
         seen = set(pair.locs) | set(pair.vars)
@@ -228,9 +255,9 @@ def semantic_low_flows(program: Occurrence, labeling: dict, *, budget: int = 1_0
                 if reached not in seen:
                     seen.add(reached)
                     frontier.append(reached)
-        for subject, point in seen:
-            if isinstance(subject, str) and level_of(labeling, subject) == HIGH:
-                flows.add(Flow(subject, point, binder, binding))
+        for atom in seen:
+            if isinstance(atom[0], str) and level_of(labeling, atom[0]) == HIGH:
+                flows.add(Flow(atom, site))
     return _sorted_flows(flows)
 
 

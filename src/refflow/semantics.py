@@ -84,6 +84,28 @@ class RecClosure(Closure):
         return f"<rec {self.name}@{self.lam_point}>"
 
 
+# Digits per chunk when a natural is too long for ``str``: below the
+# smallest digit limit ``sys.set_int_max_str_digits`` accepts (640).
+_CHUNK_DIGITS = 600
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _decimal(n: int) -> str:
+    """The exact decimal form of n, also past ``int``'s digit limit."""
+
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
+    chunks.append(str(n))
+    return sign + "".join(reversed(chunks))
+
+
 def show_value(value: object) -> str:
     if value is True:
         return "true"
@@ -91,7 +113,9 @@ def show_value(value: object) -> str:
         return "false"
     if value == () and isinstance(value, tuple):
         return "()"
-    if isinstance(value, (int, Location, Closure)):
+    if isinstance(value, int):
+        return _decimal(value)
+    if isinstance(value, (Location, Closure)):
         return str(value)
     return repr(value)
 
@@ -127,13 +151,18 @@ def var_pair(name: str, point: int) -> DepPair:
 
 
 class DepState:
-    """The function w plus the realized order on program points."""
+    """The function w plus the realized order on program points.
+
+    The order is kept once, as successor sets; ``edges`` builds the edge
+    set on demand.  ``_points`` keeps every point each subject was bound
+    at, so ``bound_points`` need not scan ``w``.
+    """
 
     def __init__(self):
         self.w: dict = {}
-        self.edges: set = set()
         self.latest: dict = {}
         self._succ: dict = {}
+        self._points: dict = {}
 
     # -- order ---------------------------------------------------------------
 
@@ -157,8 +186,18 @@ class DepState:
             return
         if self.reachable(after, before):
             return  # would close a cycle; only recursion can get here
-        self.edges.add((before, after))
         self._succ.setdefault(before, set()).add(after)
+
+    def iter_edges(self):
+        """The realized edges as (before, after) pairs, one at a time."""
+
+        for before, afters in self._succ.items():
+            for after in afters:
+                yield before, after
+
+    @property
+    def edges(self) -> set:
+        return set(self.iter_edges())
 
     def precedes(self, a: int, b: int) -> bool:
         """a strictly precedes b in the realized order (transitively)."""
@@ -180,10 +219,11 @@ class DepState:
             self.w[key] = self.w[key].union(pair)
         else:
             self.w[key] = pair
+            self._points.setdefault(subject, set()).add(point)
         self.latest[subject] = point
 
     def bound_points(self, subject) -> frozenset:
-        return frozenset(pt for subj, pt in self.w if subj == subject)
+        return frozenset(self._points.get(subject, ()))
 
     def ip(self, subject):
         """Interpretation: the top of the subject's binding chain.

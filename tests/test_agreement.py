@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -204,3 +205,95 @@ def test_reports_under_every_mutation_pinned():
                 rows.append(str(err))
     digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()[:16]
     assert digest == "ff512f009f54f4b6"
+
+
+def _cases_source(n: int) -> str:
+    """n sequential two-arm cases over one cell, each arm writing it."""
+    rng = random.Random(n)
+    arms = "".join(
+        f"(let c{i} (case (! r) [0 -> (r := {rng.randint(0, 9)}),"
+        f" _ -> (r := (+ (! r) {rng.randint(1, 9)}))]) "
+        for i in range(1, n + 1)
+    )
+    return f"(let h {rng.randint(1, 9)} (let r (ref h) " + arms + "(! r)" + ")" * (n + 2)
+
+
+@pytest.mark.parametrize(
+    "n, digest",
+    [(4, "8e935f6c545336be"), (8, "47b0ffda5c102852"), (20, "4dbe9bd26f94b4d2")],
+)
+def test_reports_on_cases_pinned(n, digest):
+    """[DERIVED] The oracle's reports on cases(n), where Pi branches and
+    joins n times and one cell is written at every arm, unmutated and
+    under each mutation, hash to a pinned digest."""
+    prog = parse(_cases_source(n))
+    rows = []
+    for mutation in (None, *MUTATIONS):
+        try:
+            rows.append(check_soundness(prog, mutation=mutation).to_dict())
+        except TypeCheckError as err:
+            rows.append(str(err))
+    assert hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()[:16] == digest
+
+
+# ---------------------------------------------------------------------------
+# Witnesses: at most five, in a fixed order
+# ---------------------------------------------------------------------------
+
+
+def test_witnesses_capped_in_event_order():
+    """[DERIVED] Dropping the variable atom makes each of the seven uses
+    of x a dependency failure; the first five events' witnesses are
+    kept, in evaluation order, and every check still counts."""
+    prog = parse("(let x 1 (+ x (+ x (+ x (+ x (+ x (+ x x)))))))")
+    clause = check_soundness(prog, mutation="tvar-drop-atom").clauses["dependency"]
+    assert clause.activity == 41
+    assert clause.witnesses == tuple(
+        f"point {p}: variable occurrence x@{p} not in delta" for p in (4, 6, 8, 10, 12)
+    )
+
+
+def test_witnesses_capped_in_atom_order(alias_chain):
+    """[DERIVED] One event with seven failing atoms: variable atoms
+    first, sorted, then location atoms by (index, point); the fifth
+    failure is the last one kept.  The injected dependency points also
+    add realized edges Pi lacks, shown in sorted order."""
+
+    def tamper(occ, value, pair):
+        if occ.point == 4:
+            ghosts = DepPair(
+                frozenset({(Location(3), 5), (Location(1), 8), (Location(0), 7), (Location(1), 2)}),
+                frozenset({("g", 9), ("a", 7)}),
+            )
+            return value, pair.union(ghosts)
+        return None
+
+    report = check_soundness(alias_chain, tamper=tamper)
+    dependency = report.clauses["dependency"]
+    assert dependency.activity == 51
+    assert dependency.witnesses == (
+        "point 4: variable occurrence a@7 not in delta",
+        "point 4: variable occurrence g@9 not in delta",
+        "point 4: holders ['x'] of loc0@7 not in a delta-represented block",
+        "point 4: no internal-variable occurrence in delta covers unreachable loc1@2",
+        "point 4: no internal-variable occurrence in delta covers unreachable loc1@8",
+    )
+    order = report.clauses["order"]
+    assert order.activity == 11
+    assert order.witnesses == tuple(
+        f"realized edge {edge} missing from the approximated order"
+        for edge in ((5, 4), (7, 4), (8, 4), (9, 4), (9, 8))
+    )
+    assert report.failed_clauses() == ("dependency", "order")
+
+
+def test_fail_appends_without_counting():
+    """[TRIVIAL] fail records a witness up to the cap of five and leaves
+    activity to the caller; check counts and records."""
+    report = AgreementReport()
+    clause = report.clauses["type"]
+    for i in range(7):
+        clause.fail(f"w{i}")
+    assert clause.activity == 0 and clause.witnesses == tuple(f"w{i}" for i in range(5))
+    clause.check(True, "unused")
+    assert clause.activity == 1 and len(clause.witnesses) == 5

@@ -13,7 +13,9 @@ import sys
 
 import pytest
 
+from refflow.agreement import check_soundness, gen_program
 from refflow.cli import main
+from refflow.syntax import pretty
 
 from conftest import ALIAS_CHAIN_SRC, DIRECT_FLOW_SRC
 
@@ -207,6 +209,98 @@ def test_overlong_integer_literal_exits_two(capsys):
     assert main(["parse", "--expr", "1" * 5000]) == 2
     err = capsys.readouterr().err
     assert err == "parse error: integer literal of 5000 digits is too long (line 1, column 1)\n"
+
+
+def test_big_computed_natural_prints(capsys):
+    """[DERIVED] A product of two 3000-digit factors has 6000 digits, past
+    int's default string-conversion limit; eval prints it exactly and
+    exits 0."""
+    factor = "9" * 3000
+    expected = "9" * 2999 + "8" + "0" * 2999 + "1"
+    code, out = run_cli(["eval", "--json", "--expr", f"(* {factor} {factor})"])
+    assert code == 0 and json.loads(out)["value"] == expected
+    code, out = run_cli(["eval", "--expr", f"(* {factor} {factor})"])
+    assert code == 0 and f"value: {expected}\n" in out
+    assert capsys.readouterr().err == ""
+
+
+def test_non_utf8_source_exits_two(tmp_path, capsys):
+    """[DERIVED] A source file that is not UTF-8 is a usage error naming
+    the file and the first bad byte, for every command that reads one."""
+    source = tmp_path / "prog.rf"
+    source.write_bytes(b"(+ 1 \xff\xfe 2)")
+    for command in ("parse", "eval", "typecheck", "check", "nifc"):
+        assert main([command, str(source)]) == 2
+        assert capsys.readouterr().err == f"input error: {source}: not UTF-8 at byte 5\n"
+
+
+def test_non_utf8_labeling_exits_two(tmp_path, capsys):
+    """[DERIVED] So is a labeling file that is not UTF-8."""
+    labels = tmp_path / "labels.txt"
+    labels.write_bytes(b"\xff\xfeh = high\n")
+    assert main(["nifc", "--labels", str(labels), "--expr", "(1)"]) == 2
+    assert capsys.readouterr().err == f"input error: {labels}: not UTF-8 at byte 0\n"
+
+
+def test_file_newlines_read_as_text(tmp_path, capsys):
+    """[DERIVED] CRLF and CR line ends read as LF, so positions in parse
+    errors do not depend on them."""
+    messages = []
+    for newline in (b"\n", b"\r\n", b"\r"):
+        source = tmp_path / "prog.rf"
+        source.write_bytes(b"(let x 1" + newline + b"  (+ x ))")
+        assert main(["parse", str(source)]) == 2
+        messages.append(capsys.readouterr().err)
+    assert len(set(messages)) == 1 and "line 2" in messages[0]
+
+
+def test_fuzz_inconclusive_records_carry_debug_fields():
+    """[DERIVED] Under a 5-step budget, inconclusive records carry the
+    program, the budget note as the witness, and the steps; passing
+    records keep exactly their four fields."""
+    code, out = run_cli(["fuzz", "--json", "--seed", "0", "--count", "6", "--steps", "5"])
+    assert code == 3
+    records = json.loads(out)["records"]
+    assert {r["outcome"] for r in records} == {"pass", "inconclusive"}
+    for record in records:
+        if record["outcome"] == "pass":
+            assert set(record) == {"seed", "size", "outcome", "failed_clauses"}
+            continue
+        assert record["program"] == pretty(gen_program(record["seed"], record["size"]))
+        assert record["witness"] == "evaluation exceeded 5 steps"
+        assert record["steps"] == 5
+
+
+def test_fuzz_failure_records_carry_first_witness(monkeypatch):
+    """[DERIVED] A failing record's witness is the first witness of its
+    first failing clause; text mode prints the fields under its line."""
+    import refflow.cli as cli
+
+    def mutated(program, budget):
+        return check_soundness(program, budget=budget, mutation="tvar-drop-atom")
+
+    monkeypatch.setattr(cli, "check_soundness", mutated)
+    code, out = run_cli(["fuzz", "--json", "--seed", "0", "--count", "20"])
+    assert code == 1
+    failing = [r for r in json.loads(out)["records"] if r["outcome"] == "fail"]
+    assert failing
+    for record in failing:
+        program = gen_program(record["seed"], record["size"])
+        report = check_soundness(program, mutation="tvar-drop-atom")
+        first = report.clauses[record["failed_clauses"][0]].witnesses[0]
+        assert record["witness"] == first
+        assert record["steps"] == report.steps and record["program"] == pretty(program)
+    code, text = run_cli(["fuzz", "--seed", "0", "--count", "20"])
+    lines = text.splitlines()
+    record = failing[0]
+    at = lines.index(
+        f"seed {record['seed']} size {record['size']} fail " + ",".join(record["failed_clauses"])
+    )
+    assert lines[at + 1 : at + 4] == [
+        f"  steps: {record['steps']}",
+        f"  witness: {record['witness']}",
+        f"  program: {record['program']}",
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ def test_direct_flow_is_a_violation():
     witnessed as (h@1, binding of l at 2)."""
     verdict = check_noninterference(parse(DIRECT_FLOW_SRC), H_HIGH)
     assert not verdict.ok
-    assert verdict.flows == (Flow("h", 1, "l", 2),)
+    assert verdict.flows == (Flow(("h", 1), ("l", 2)),)
     assert verdict.formulations_agree
 
 
@@ -54,8 +54,28 @@ def test_indirect_flow_through_a_cell():
     back is witnessed at the read's binding."""
     verdict = check_noninterference(parse(INDIRECT_FLOW_SRC), H_HIGH)
     assert not verdict.ok
-    assert Flow("h", 4, "l", 7) in verdict.flows
+    assert Flow(("h", 4), ("l", 7)) in verdict.flows
     assert verdict.formulations_agree
+
+
+def test_flows_share_their_atoms_and_sites():
+    """[DERIVED] Two low binders each reached by two reads of h: four
+    flows, built from two occurrence atoms and two binding sites, and
+    read back field by field."""
+    prog = parse("(let a (+ (h@1) (h@2))@3 (let b (+ (h@4) a@5)@6 (b@7)@8)@9)@10")
+    verdict = check_noninterference(prog, H_HIGH)
+    assert [str(flow) for flow in verdict.flows] == [
+        "h@1 reaches binding of a at 3",
+        "h@2 reaches binding of a at 3",
+        "h@1 reaches binding of b at 6",
+        "h@2 reaches binding of b at 6",
+        "h@4 reaches binding of b at 6",
+    ]
+    assert len({id(flow.atom) for flow in verdict.flows}) == 3
+    assert len({id(flow.site) for flow in verdict.flows}) == 2
+    assert verdict.flows[0] == Flow(("h", 1), ("a", 3))
+    first = verdict.flows[0]
+    assert (first.subject, first.occurrence, first.binder, first.binding) == ("h", 1, "a", 3)
 
 
 def test_unlabeled_program_trivially_passes():

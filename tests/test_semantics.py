@@ -211,6 +211,16 @@ def test_show_value():
     assert show_value(41) == "41"
 
 
+def test_show_value_past_the_digit_limit():
+    """[DERIVED] Naturals longer than int's default string-conversion
+    limit (4300 digits) still print exactly, in either sign."""
+    assert show_value(10**5000) == "1" + "0" * 5000
+    assert show_value(-(10**5000) + 1) == "-" + "9" * 5000
+    square = (10**3000 - 1) ** 2  # 9…98 0…01, 6000 digits
+    assert show_value(square) == "9" * 2999 + "8" + "0" * 2999 + "1"
+    assert show_value(-7) == "-7" and show_value(0) == "0"
+
+
 # ---------------------------------------------------------------------------
 # Threaded evaluation and the semantic IP
 # ---------------------------------------------------------------------------
@@ -246,6 +256,27 @@ def test_ip_sem_requires_unique_supremum():
 def test_ip_sem_missing_subject():
     """[TRIVIAL] Querying a subject never bound returns None."""
     assert ip_sem("ghost", DepState()) is None
+
+
+def test_bound_points_equals_scan_of_w():
+    """[DERIVED] The subject -> points table DepState keeps as it binds
+    answers what a scan of dom(w) answers, for every subject of 200
+    generated runs, for a subject never bound, and for a point bound
+    twice."""
+    from refflow.agreement import gen_program
+
+    for seed in range(200):
+        dep = evaluate(gen_program(seed, 1 + seed % 30)).dep
+        subjects = {subject for subject, _ in dep.w}
+        assert subjects == set(dep.latest)
+        for subject in subjects | {"ghost", Location(10**6)}:
+            assert dep.bound_points(subject) == {pt for subj, pt in dep.w if subj == subject}
+    dep = DepState()
+    dep.bind(LOC0, 2, EMPTY_PAIR, None)
+    dep.bind(LOC0, 2, DepPair(frozenset(), frozenset({("x", 1)})), None)
+    dep.bind(LOC0, 5, EMPTY_PAIR, None)
+    assert dep.bound_points(LOC0) == frozenset({2, 5})
+    assert isinstance(dep.bound_points(LOC0), frozenset)
 
 
 # ---------------------------------------------------------------------------
