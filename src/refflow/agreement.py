@@ -50,7 +50,6 @@ from .typesys import (
     Arrow,
     Base,
     IVar,
-    Pi,
     Type,
     TypeEnv,
     ip_type,
@@ -226,37 +225,6 @@ def _dep_agree(clause: ClauseVerdict, pair: DepPair, delta: frozenset, holders, 
             clause.fail(
                 f"{where}: no internal-variable occurrence in delta covers unreachable {location}@{point}"
             )
-
-
-# ---------------------------------------------------------------------------
-# Public clause checks
-# ---------------------------------------------------------------------------
-
-
-def well_typed_env(gamma: TypeEnv, pi: Pi, env: dict, loc_origin: dict | None = None) -> bool:
-    """Whether every bound value inhabits some recorded type of its name."""
-
-    for name in sorted(env):
-        value = env[name][0]
-        admitted = any(
-            type_value(value, gamma.at(name, point), loc_origin)
-            for point in sorted(gamma.bound_points(name))
-        )
-        if not admitted:
-            return False
-    return True
-
-
-def dep_agree(env: dict, pair: DepPair, delta: frozenset, alias_base: tuple) -> bool:
-    """Whether a static dependency set covers a runtime dependency pair."""
-
-    clause = ClauseVerdict()
-    holders_of = _env_inverse(env)
-    _dep_agree(
-        clause, pair, delta, lambda location: holders_of.get(location, ()), _delta_subjects,
-        _block_map(alias_base), "query",
-    )
-    return clause.holds
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .agreement import check_soundness, gen_program
@@ -386,6 +387,17 @@ def _first_witness(report) -> str:
     return report.note
 
 
+def _print_fuzz_record(record) -> None:
+    line = f"seed {record['seed']} size {record['size']} {record['outcome']}"
+    if record["failed_clauses"]:
+        line += " " + ",".join(record["failed_clauses"])
+    print(line)
+    if "program" in record:
+        print(f"  steps: {record['steps']}")
+        print(f"  witness: {record['witness']}")
+        print(f"  program: {record['program']}")
+
+
 def _cmd_fuzz(args) -> int:
     if args.count < 1 or args.size < 1:
         return _fail("count and size must be positive", EXIT_USAGE)
@@ -397,35 +409,28 @@ def _cmd_fuzz(args) -> int:
         try:
             report = check_soundness(program, budget=args.steps)
         except TypeCheckError as err:
-            tally["rejected"] += 1
-            records.append(
-                {"seed": seed, "size": size, "outcome": "rejected", "failed_clauses": [str(err)]}
-            )
-            continue
-        tally[report.outcome] += 1
-        record = {
-            "seed": seed,
-            "size": size,
-            "outcome": report.outcome,
-            "failed_clauses": list(report.failed_clauses()),
-        }
-        if report.outcome != "pass":
-            record["program"] = pretty(program)
-            record["witness"] = _first_witness(report)
-            record["steps"] = report.steps
-        records.append(record)
+            record = {"seed": seed, "size": size, "outcome": "rejected", "failed_clauses": [str(err)]}
+        else:
+            record = {
+                "seed": seed,
+                "size": size,
+                "outcome": report.outcome,
+                "failed_clauses": list(report.failed_clauses()),
+            }
+            if report.outcome != "pass":
+                record["program"] = pretty(program)
+                record["witness"] = _first_witness(report)
+                record["steps"] = report.steps
+        tally[record["outcome"]] += 1
+        if args.json:
+            records.append(record)
+        else:
+            # stream the text records, so a reader that stops early stops the run
+            _print_fuzz_record(record)
+            sys.stdout.flush()
     if args.json:
         _emit_json({"records": records, "summary": tally})
     else:
-        for record in records:
-            line = f"seed {record['seed']} size {record['size']} {record['outcome']}"
-            if record["failed_clauses"]:
-                line += " " + ",".join(record["failed_clauses"])
-            print(line)
-            if "program" in record:
-                print(f"  steps: {record['steps']}")
-                print(f"  witness: {record['witness']}")
-                print(f"  program: {record['program']}")
         print(
             "summary: pass {pass} fail {fail} inconclusive {inconclusive} rejected {rejected}".format(
                 **tally
@@ -531,7 +536,17 @@ def main(argv=None) -> int:
     if getattr(args, "steps", 1) < 1:
         parser.error("--steps must be positive")
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout.  Point stdout at devnull so the flush
+        # at exit finds nowhere to fail (the recipe in Python's signal
+        # module documentation), and end quietly as an I/O error.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_USAGE
     except SyntaxModuleError as err:
         return _fail(f"parse error: {err}", EXIT_USAGE)
     except LabelingError as err:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .approx import _subjects_of
 from .syntax import Occurrence
 from .typesys import (
     Analysis,
@@ -33,6 +32,7 @@ from .typesys import (
     Pi,
     Type,
     TypeEnv,
+    program_subjects,
     typecheck,
 )
 
@@ -84,7 +84,7 @@ def default_labeling(program: Occurrence, stride: int = 3) -> dict:
 
     if stride < 1:
         raise ValueError("stride must be positive")
-    names = sorted(s for s in _subjects_of(program) if isinstance(s, str))
+    names = sorted(s for s in program_subjects(program) if isinstance(s, str))
     return {name: HIGH if index % stride == 0 else LOW for index, name in enumerate(names)}
 
 

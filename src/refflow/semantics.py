@@ -381,14 +381,14 @@ def _apply_prim(op: str, left, right, point: int):
 
 
 class _Evaluator:
-    def __init__(self, budget: int, on_step, tamper, store=None, dep=None):
-        self.store: dict = store if store is not None else {}
-        self.dep = dep if dep is not None else DepState()
+    def __init__(self, budget: int, on_step, tamper):
+        self.store: dict = {}
+        self.dep = DepState()
         self.steps = 0
         self.budget = budget
         self.on_step = on_step
         self.tamper = tamper
-        self.next_location = 1 + max((loc.index for loc in self.store), default=-1)
+        self.next_location = 0
         self.loc_origin: dict = {}
 
     def fresh_location(self) -> Location:
@@ -396,9 +396,9 @@ class _Evaluator:
         self.next_location += 1
         return loc
 
-    def run(self, occ: Occurrence, env: dict, incoming):
+    def run(self, occ: Occurrence, env: dict):
         try:
-            return self.eval(occ, env, incoming)
+            return self.eval(occ, env, None)
         except EvalError as err:
             err.steps = self.steps
             raise
@@ -551,37 +551,7 @@ def evaluate(
     pair.  ``env`` maps names to (value, bind point) pairs."""
 
     machine = _Evaluator(budget, on_step, tamper)
-    value, pair = machine.run(program, env or {}, None)
-    return EvalOutcome(
-        value=value,
-        pair=pair,
-        dep=machine.dep,
-        store=machine.store,
-        steps=machine.steps,
-        loc_origin=machine.loc_origin,
-    )
-
-
-def eval_occurrence(
-    occ: Occurrence,
-    env: dict | None = None,
-    store: dict | None = None,
-    dep: DepState | None = None,
-    incoming: int | None = None,
-    *,
-    budget: int = 1_000_000,
-    on_step=None,
-    tamper=None,
-) -> EvalOutcome:
-    """One evaluation step in a caller-supplied state.
-
-    The store and dependency state are updated in place when given, so a
-    sequence of calls sees each other's bindings.  ``env`` maps names to
-    (value, bind point) pairs.
-    """
-
-    machine = _Evaluator(budget, on_step, tamper, store=store, dep=dep)
-    value, pair = machine.run(occ, env or {}, incoming)
+    value, pair = machine.run(program, env or {})
     return EvalOutcome(
         value=value,
         pair=pair,

@@ -23,8 +23,10 @@ visited after its children, one cover edge per consecutive visit, case
 arms and the bodies behind a several-origin application forking from
 one point and joining at their parent), the binding sites, and the
 alias merges, one (binder, internal variable) pair per cell a binder's
-value may denote.  :mod:`refflow.approx` turns the merges into the
-alias base.
+value may denote.  The merges are unified into the alias base here too,
+in the style of Steensgaard's points-to analysis (POPL 1996): every
+subject of the program starts in its own block and each merge joins two
+blocks.
 
 The module also owns the order's queries: Pi's maximal chains and the
 chain-wise interpretation of a subject's binding points.  Pi's visit
@@ -432,27 +434,12 @@ def ip_type(subject, gamma: TypeEnv, pi: Pi, at: int | None = None) -> frozenset
 # ---------------------------------------------------------------------------
 
 
-def _resolve_abstraction(occ: Occurrence):
-    """The abstraction occurrence behind pass-through wrappers, or None."""
+def _ungrouped(occ: Occurrence) -> Occurrence:
+    """The occurrence behind pass-through group wrappers."""
 
-    expr = occ.expr
-    if isinstance(expr, Abstraction):
-        return occ
-    if isinstance(expr, Group):
-        return _resolve_abstraction(expr.inner)
-    return None
-
-
-def _use_points(occ: Occurrence, name: str, out: list):
-    expr = occ.expr
-    match expr:
-        case Variable(n):
-            if n == name:
-                out.append(occ.point)
-        case _:
-            # binders are globally unique after parsing, so no shadowing
-            for child in _children(expr):
-                _use_points(child, name, out)
+    while isinstance(occ.expr, Group):
+        occ = occ.expr.inner
+    return occ
 
 
 def linear_use_check(program: Occurrence) -> tuple:
@@ -462,35 +449,65 @@ def linear_use_check(program: Occurrence) -> tuple:
     abstractions placed under ref, directly or through such a name; uses
     of abstractions that flow through parameters are caught during the
     checking walk instead.  Returns the violations in program order.
+
+    One pre-order walk carries the names bound to an abstraction and the
+    names whose uses count, each with the use list of its binding; a let
+    rec's own bound counts its uses, a let's does not.  Binders are
+    globally unique after parsing, so no binding shadows another.
     """
 
-    violations: list = []
-
-    def is_abstraction_valued(occ: Occurrence, fun_names: frozenset) -> bool:
-        if _resolve_abstraction(occ) is not None:
-            return True
+    found: list = []  # violations in pre-order; a use list stands for its binding's
+    stack = [(program, frozenset(), {})]
+    while stack:
+        occ, fun_names, counted = stack.pop()
         expr = occ.expr
-        if isinstance(expr, Group):
-            return is_abstraction_valued(expr.inner, fun_names)
-        return isinstance(expr, Variable) and expr.name in fun_names
-
-    def walk(occ: Occurrence, fun_names: frozenset):
-        expr = occ.expr
-        if isinstance(expr, (Let, LetRec)) and _resolve_abstraction(expr.bound) is not None:
-            uses: list = []
-            _use_points(expr.body, expr.name, uses)
-            if isinstance(expr, LetRec):
-                _use_points(expr.bound, expr.name, uses)
-            if len(uses) > 1:
-                violations.append(LinearityViolation(uses))
+        if isinstance(expr, Variable):
+            uses = counted.get(expr.name)
+            if uses is not None:
+                uses.append(occ.point)
+            continue
+        if isinstance(expr, (Let, LetRec)) and isinstance(_ungrouped(expr.bound).expr, Abstraction):
+            uses = []
+            found.append(uses)
             fun_names = fun_names | {expr.name}
-        if isinstance(expr, Ref) and is_abstraction_valued(expr.init, fun_names):
-            violations.append(AbstractionInRef(occ.point))
-        for child in _children(expr):
-            walk(child, fun_names)
+            in_scope = {**counted, expr.name: uses}
+            stack.append((expr.body, fun_names, in_scope))
+            stack.append((expr.bound, fun_names, in_scope if isinstance(expr, LetRec) else counted))
+            continue
+        if isinstance(expr, Ref):
+            init = _ungrouped(expr.init).expr
+            if isinstance(init, Abstraction) or isinstance(init, Variable) and init.name in fun_names:
+                found.append(AbstractionInRef(occ.point))
+        stack.extend((child, fun_names, counted) for child in reversed(_children(expr)))
+    return tuple(
+        LinearityViolation(item) if isinstance(item, list) else item
+        for item in found
+        if not isinstance(item, list) or len(item) > 1
+    )
 
-    walk(program, frozenset())
-    return tuple(violations)
+
+# ---------------------------------------------------------------------------
+# Subjects
+# ---------------------------------------------------------------------------
+
+
+def program_subjects(program: Occurrence) -> list:
+    """Every name the program binds or mentions and the internal variable
+    of every allocation point, sorted by ``subject_key``."""
+
+    out: set = set()
+    stack = [program]
+    while stack:
+        occ = stack.pop()
+        match occ.expr:
+            case Variable(name) | Abstraction(name, _) | Let(name, _, _) | LetRec(name, _, _):
+                out.add(name)
+            case Case(_, patterns, _):
+                out.update(pattern.name for pattern in patterns if isinstance(pattern, PVar))
+            case Ref(_):
+                out.add(IVar(occ.point))
+        stack.extend(_children(occ.expr))
+    return sorted(out, key=subject_key)
 
 
 # ---------------------------------------------------------------------------
@@ -525,9 +542,34 @@ class Analysis:
 
     @cached_property
     def alias_base(self) -> tuple:
-        from .approx import _alias_blocks
+        """The program's subjects partitioned into alias blocks.
 
-        return _alias_blocks(self.program, self.merges)
+        A binder joins the block of every internal variable its bound
+        value may denote; every other subject stays a singleton.  Two
+        names can only share a block by sharing an internal variable, so
+        any block with several members names at least one reference.
+        Blocks come back ordered by their least member.
+        """
+
+        parent = {subject: subject for subject in program_subjects(self.program)}
+
+        def find(subject):
+            while parent[subject] != subject:
+                parent[subject] = parent[parent[subject]]  # path halving
+                subject = parent[subject]
+            return subject
+
+        for name, internal in self.merges:
+            parent[find(name)] = find(internal)
+        blocks: dict = {}
+        # subjects come sorted, so each block is met first at its least member
+        for subject in parent:
+            blocks.setdefault(find(subject), set()).add(subject)
+        ordered = tuple(frozenset(block) for block in blocks.values())
+        for block in ordered:
+            if len(block) > 1 and not any(isinstance(s, IVar) for s in block):
+                raise AssertionError(f"alias block without a reference: {sorted(block, key=subject_key)}")
+        return ordered
 
 
 class _Checker:
@@ -628,8 +670,8 @@ class _Checker:
                 return self.check(body, {**scope, name: recorded})
 
             case LetRec(name, bound, body):
-                lam = _resolve_abstraction(bound)
-                if lam is None:
+                lam = _ungrouped(bound)
+                if not isinstance(lam.expr, Abstraction):
                     bound_ty = self.check(bound, {**scope, name: None})
                     recorded = self._binder(name, bound.point, bound_ty)
                     self.gamma.bind(name, p, recorded)
@@ -767,19 +809,19 @@ class _Checker:
         """
 
         merged_latest = dict(snapshot)
+        rebound: set = set()
         for latest in branch_latests:
             for subject, pt in latest.items():
                 if subject not in snapshot:
                     merged_latest.setdefault(subject, pt)
+                elif pt != snapshot[subject]:
+                    rebound.add(subject)
         self.gamma.latest = merged_latest
-        pre_subjects = sorted(snapshot, key=subject_key)
-        for subject in pre_subjects:
-            points = {latest.get(subject, snapshot[subject]) for latest in branch_latests}
-            if points == {snapshot[subject]}:
-                continue
+        # every branch started from the snapshot, so its latest has each pre-fork subject
+        for subject in sorted(rebound, key=subject_key):
             union: Type | None = None
             for latest in branch_latests:
-                ty = self.gamma.entries[(subject, latest.get(subject, snapshot[subject]))]
+                ty = self.gamma.entries[(subject, latest[subject])]
                 union = ty if union is None else type_union(union, ty, point)
             self.gamma.bind(subject, point, union)
 

@@ -14,8 +14,14 @@ hand in the test modules and asserted exactly.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import refflow
 from refflow.syntax import parse
 
 ALIAS_CHAIN_SRC = (
@@ -47,3 +53,12 @@ def alias_chain():
 @pytest.fixture
 def double_use():
     return parse(DOUBLE_USE_SRC)
+
+
+def fresh_python(*args, **kwargs) -> subprocess.Popen:
+    """Start ``python *args`` in a new process that imports the refflow
+    under test, with text-mode pipes."""
+
+    src = str(Path(refflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.Popen([sys.executable, *args], env=env, text=True, **kwargs)

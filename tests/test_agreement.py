@@ -17,9 +17,7 @@ from refflow.agreement import (
     CLAUSES,
     AgreementReport,
     check_soundness,
-    dep_agree,
     gen_program,
-    well_typed_env,
 )
 from refflow.semantics import DepPair, DepState, Location, evaluate
 from refflow.syntax import free_vars, parse, pretty
@@ -100,32 +98,6 @@ def test_tampered_value_fails_type(alias_chain):
     report = check_soundness(alias_chain, tamper=tamper)
     assert report.outcome == "fail"
     assert "type" in report.failed_clauses()
-
-
-# ---------------------------------------------------------------------------
-# Agreement primitives
-# ---------------------------------------------------------------------------
-
-
-def test_dep_agree_requires_delta_to_cover(alias_chain):
-    """[DERIVED] A pair outside delta disagrees; within it, agrees."""
-    analysis = typecheck(alias_chain)
-    alias = analysis.alias_base
-    env = {"x": (Location(0), 2)}
-    inside = DepPair(frozenset(), frozenset({("x", 5)}))
-    outside = DepPair(frozenset(), frozenset({("ghost", 99)}))
-    delta = frozenset({("x", 5)})
-    assert dep_agree(env, inside, delta, alias)
-    assert not dep_agree(env, outside, delta, alias)
-
-
-def test_well_typed_env_on_reference_state(alias_chain):
-    """[DERIVED] The final environment of the reference run is admitted
-    by its final entries."""
-    analysis = typecheck(alias_chain)
-    outcome = evaluate(alias_chain)
-    env = {"x": (Location(0), 2)}
-    assert well_typed_env(analysis.gamma, analysis.pi, env, outcome.loc_origin)
 
 
 # ---------------------------------------------------------------------------

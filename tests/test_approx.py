@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import subprocess
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ from refflow.semantics import evaluate
 from refflow.syntax import parse
 from refflow.typesys import Base, IVar, atom_key, subject_key, typecheck
 
-from conftest import ALIAS_CHAIN_SRC
+from conftest import ALIAS_CHAIN_SRC, fresh_python
 
 
 # ---------------------------------------------------------------------------
@@ -237,3 +238,21 @@ def test_each_pipeline_walks_once(monkeypatch):
     assert roots == [3]
     approximate_pi(prog), build_alias_base(prog), binding_sites(prog)
     assert roots == [6]
+
+
+def test_static_half_does_not_import_approx():
+    """[TRIVIAL] The alias base and the default labeling come from
+    typesys alone: a fresh process that asks for both never imports
+    refflow.approx."""
+    code = (
+        "import sys\n"
+        "from refflow.security import default_labeling\n"
+        "from refflow.syntax import parse\n"
+        "from refflow.typesys import typecheck\n"
+        f"program = parse({ALIAS_CHAIN_SRC!r})\n"
+        "typecheck(program).alias_base, default_labeling(program)\n"
+        "sys.exit('refflow.approx' in sys.modules)\n"
+    )
+    proc = fresh_python("-c", code, stderr=subprocess.PIPE)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err

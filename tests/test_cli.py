@@ -9,6 +9,7 @@ import contextlib
 import io
 import json
 import re
+import subprocess
 import sys
 
 import pytest
@@ -17,7 +18,7 @@ from refflow.agreement import check_soundness, gen_program
 from refflow.cli import main
 from refflow.syntax import pretty
 
-from conftest import ALIAS_CHAIN_SRC, DIRECT_FLOW_SRC
+from conftest import ALIAS_CHAIN_SRC, DIRECT_FLOW_SRC, fresh_python
 
 
 def run_cli(argv):
@@ -199,6 +200,21 @@ def test_bad_labeling_exits_two(tmp_path):
     labels.write_text("h secret\n")
     code, _ = run_cli(["nifc", "--labels", str(labels), "--expr", "(1)"])
     assert code == 2
+
+
+def test_closed_pipe_exits_two_quietly():
+    """[DERIVED] A reader that stops after the first fuzz record ends the
+    run with exit 2 and nothing on stderr: no error line, no message
+    about a failed flush at shutdown."""
+    proc = fresh_python(
+        "-m", "refflow.cli", "fuzz", "--count", "300",
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == "seed 0 size 1 pass\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 2
+    assert proc.stderr.read() == ""
+    proc.stderr.close()
 
 
 

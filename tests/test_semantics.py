@@ -22,7 +22,6 @@ from refflow.semantics import (
     PrimTypeError,
     UnboundVariable,
     UnsupportedPattern,
-    eval_occurrence,
     evaluate,
     ip_sem,
     match,
@@ -222,22 +221,8 @@ def test_show_value_past_the_digit_limit():
 
 
 # ---------------------------------------------------------------------------
-# Threaded evaluation and the semantic IP
+# The semantic IP
 # ---------------------------------------------------------------------------
-
-
-def test_eval_occurrence_threads_state():
-    """[DERIVED] eval_occurrence continues in a caller-provided store
-    and dependency state."""
-    store: dict = {}
-    dep = DepState()
-    first = parse("(ref 1@1)@2")
-    outcome = eval_occurrence(first, {}, store, dep, None)
-    assert outcome.value == LOC0 and store[LOC0] == 1
-    second = parse("(!(r@3))@4")
-    outcome2 = eval_occurrence(second, {"r": (LOC0, None)}, store, dep, first.point)
-    assert outcome2.value == 1
-    assert (LOC0, 2) in outcome2.pair.locs
 
 
 def test_ip_sem_requires_unique_supremum():
