@@ -12,8 +12,8 @@ six clauses:
 * type: runtime values inhabit their static types;
 * environment: every live binding has a typed counterpart;
 * order: the realized point order is contained in the approximated one;
-* ip: the run's interpretation of each location is among the chain-wise
-  interpretations of its internal variable.
+* ip: the run's interpretation of each location is unique, and some
+  internal variable of the typing covers the location.
 
 A report carries one verdict per clause with witnesses on failure plus
 an activity counter saying how often the clause actually had something
@@ -22,7 +22,9 @@ to check, so a fuzz campaign can tell vacuous passes from real ones.
 What the judge pays per event follows what is new or failing.  Checks
 that pass are counted in bulk and format nothing; witnesses are built,
 sorted, only for failures.  A dependency pair costs one set difference
-for its variable atoms and one decision per distinct location.  The
+for its variable atoms and one decision per distinct location, an
+early-exit scan over delta.  The realized order costs one bit test per
+edge against Pi's ancestor bitsets, once the run ends.  The
 environment and the store are checked only for bindings and writes no
 earlier event showed, and an environment seen at the previous event is
 skipped outright.  The inverse environment is built at most once per
@@ -33,7 +35,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import chain
 
 from .semantics import (
     DepPair,
@@ -52,7 +53,6 @@ from .typesys import (
     IVar,
     Type,
     TypeEnv,
-    ip_type,
     show_atom,
     subject_key,
     type_value,
@@ -155,10 +155,6 @@ def _block_map(alias_base: tuple) -> dict:
     return {subject: block for block in alias_base for subject in block}
 
 
-def _delta_subjects(delta: frozenset) -> frozenset:
-    return frozenset(subject for subject, _ in delta)
-
-
 def _loc_atom_key(atom) -> tuple:
     return (atom[0].index, atom[1])
 
@@ -186,31 +182,33 @@ def _gamma_ivars(gamma: TypeEnv) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _dep_agree(clause: ClauseVerdict, pair: DepPair, delta: frozenset, holders, represented,
+def _dep_agree(clause: ClauseVerdict, pair: DepPair, delta: frozenset, holders, locations,
                blocks: dict, where: str):
     """One check per occurrence in the pair; only the failing ones are
     sorted and shown.  ``holders`` maps a location to the sorted names
-    holding it, ``represented`` a delta to the subjects it mentions."""
+    holding it, ``locations`` a set of location atoms to its distinct
+    locations.  A location atom's verdict depends on its location only:
+    held, its holders' block must meet delta; unheld, delta must mention
+    an internal variable.  Each is one scan over delta that stops at the
+    first atom deciding it."""
 
     clause.activity += len(pair.vars) + len(pair.locs)
     for atom in sorted(pair.vars - delta):
         clause.fail(f"{where}: variable occurrence {show_atom(atom)} not in delta")
     if not pair.locs:
         return
-    # a location atom's verdict depends on its location only
-    subjects = represented(delta)
     uncovered: dict = {}  # failing location -> its holders
-    for location in {location for location, _ in pair.locs}:
+    for location in locations(pair.locs):
         names = holders(location)
         if names:
             block = blocks.get(names[0])
             ok = (
                 block is not None
                 and all(name in block for name in names)
-                and bool(block & subjects)
+                and any(subject in block for subject, _ in delta)
             )
         else:
-            ok = any(isinstance(subject, IVar) for subject in subjects)
+            ok = any(isinstance(subject, IVar) for subject, _ in delta)
         if not ok:
             uncovered[location] = names
     if not uncovered:
@@ -235,8 +233,10 @@ def _dep_agree(clause: ClauseVerdict, pair: DepPair, delta: frozenset, holders, 
 class _Judge:
     """Applies the clauses to events as a run unfolds.
 
-    Its caches (the subjects of each delta, the inverse of the current
-    environment, Pi's sorted points) live only as long as one run.
+    Its caches (the distinct locations of each set of location atoms, the
+    inverse of the current environment) live only as long as one run.  It
+    searches nothing per event: deltas are scanned, and the realized order
+    is tested edge by edge against Pi's ancestor bitsets once the run ends.
     """
 
     def __init__(self, analysis: Analysis, report: AgreementReport):
@@ -252,13 +252,12 @@ class _Judge:
         self.stack: list = []
         self.seen_env: set = set()
         self.seen_store: set = set()
-        self._subjects: dict = {}  # delta -> the subjects it mentions
+        self._locations: dict = {}  # location atoms -> their distinct locations
         # An environment dict is never changed once evaluation uses it, so
         # one seen again needs neither a new inverse nor a new check.
         self._env: dict | None = None
         self._inverse: dict | None = None  # of self._env, built on first use
         self._checked_env: dict | None = None
-        self._sorted_points: list | None = None
 
     # -- caches -----------------------------------------------------------------
 
@@ -269,24 +268,17 @@ class _Judge:
             self._inverse = _env_inverse(self._env)
         return self._inverse.get(location, ())
 
-    def represented(self, delta: frozenset) -> frozenset:
-        subjects = self._subjects.get(delta)
-        if subjects is None:
-            subjects = self._subjects[delta] = _delta_subjects(delta)
-        return subjects
-
-    def scan_points(self):
-        """Pi's points in order, sorted on first use (the ip fallback)."""
-
-        if self._sorted_points is None:
-            self._sorted_points = sorted(self.pi.points)
-        yield from self._sorted_points
+    def locations(self, locs: frozenset) -> tuple:
+        found = self._locations.get(locs)
+        if found is None:
+            found = self._locations[locs] = tuple({location for location, _ in locs})
+        return found
 
     # -- per-clause primitives -----------------------------------------------
 
     def dep_agree(self, pair: DepPair, delta: frozenset, where: str):
         _dep_agree(
-            self.clauses["dependency"], pair, delta, self.holders, self.represented,
+            self.clauses["dependency"], pair, delta, self.holders, self.locations,
             self.blocks, where,
         )
 
@@ -378,21 +370,25 @@ class _Judge:
             self.type_agree(content, dep, written_pair, stored_ty, f"{where}: {location}@{current}")
 
     def check_order(self, dep: DepState):
+        """Each realized edge is one bit test against Pi's ancestor bitsets."""
+
         clause = self.clauses["order"]
-        edges, precedes = self.pi.edges, self.pi.precedes
+        index, anc = self.pi.reach
         missing = []
-        for edge in dep.iter_edges():
-            clause.activity += 1
-            if edge not in edges and not precedes(*edge):
-                missing.append(edge)
+        for before, afters in dep.successors():
+            clause.activity += len(afters)
+            bit = 1 << index[before] if before in index else 0
+            missing.extend((before, after) for after in afters if not anc.get(after, 0) & bit)
         for edge in sorted(missing):
             clause.fail(f"realized edge {edge} missing from the approximated order")
 
-    def check_ip(self, dep: DepState, at: int | None = None):
-        """Some query point's chain-wise interpretation must contain the
-        internal-variable occurrence matching each location's semantic
-        interpretation; the semantic point itself and the final point
-        answer nearly every case, the scan covers the rest."""
+    def check_ip(self, dep: DepState):
+        """Each location's semantic interpretation must be matched by an
+        internal variable covering it.  A covering variable is typed at
+        every binding point of the location, the semantic point among them,
+        and the chain-wise interpretation at a bound point is that point's
+        own atom; so the clause holds exactly when some variable covers the
+        location, or fails when ``ip_sem`` finds no unique top."""
 
         clause = self.clauses["ip"]
         for location in sorted(
@@ -406,15 +402,10 @@ class _Judge:
             if atom is None:
                 continue
             _, sem_point = atom
-            candidates = _covering_ivars(dep, self.gamma, location, self.ivars)
-            first = (sem_point,) if at is None else (sem_point, at)
-            clause.activity += 1
-            if not any(
-                (internal, sem_point) in ip_type(internal, self.gamma, self.pi, at=query)
-                for internal in candidates
-                for query in chain(first, self.scan_points())
-            ):
-                clause.fail(f"{location} interpreted at {sem_point}, not among chain-wise interpretations")
+            clause.check(
+                bool(_covering_ivars(dep, self.gamma, location, self.ivars)),
+                f"{location} interpreted at {sem_point}, not among chain-wise interpretations",
+            )
 
     # -- event hook ------------------------------------------------------------
 
@@ -491,7 +482,7 @@ def check_soundness(
         "result value does not inhabit the result type",
     )
     judge.check_order(outcome.dep)
-    judge.check_ip(outcome.dep, at=judge.pi.final)
+    judge.check_ip(outcome.dep)
     return report.settle()
 
 

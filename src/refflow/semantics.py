@@ -139,9 +139,6 @@ class DepPair:
     def union(self, other: "DepPair") -> "DepPair":
         return DepPair(self.locs | other.locs, self.vars | other.vars)
 
-    def points(self) -> frozenset:
-        return frozenset(pt for _, pt in self.locs) | frozenset(pt for _, pt in self.vars)
-
 
 EMPTY_PAIR = DepPair()
 
@@ -150,12 +147,34 @@ def var_pair(name: str, point: int) -> DepPair:
     return DepPair(frozenset(), frozenset({(name, point)}))
 
 
+def _search(adjacency: dict, starts) -> set:
+    """Every node reachable from some node of ``starts`` in one or more
+    steps."""
+
+    seen: set = set()
+    stack = list(starts)
+    while stack:
+        for nxt in adjacency.get(stack.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
 class DepState:
     """The function w plus the realized order on program points.
 
     The order is kept once, as successor sets; ``edges`` builds the edge
     set on demand.  ``_points`` keeps every point each subject was bound
     at, so ``bound_points`` need not scan ``w``.
+
+    Every edge a binding adds ends at the binding point, so adding one
+    cannot open a path out of that point: ``bind`` searches at most once.
+    A point with no successors yet, which is every point a typed program
+    binds, takes all its sources without a search.  A point that already
+    has successors, which only untyped recursion revisiting it can give,
+    takes one forward search from it, and the sources that search reaches
+    get no edge, since each would close a cycle.
     """
 
     def __init__(self):
@@ -166,54 +185,37 @@ class DepState:
 
     # -- order ---------------------------------------------------------------
 
-    def reachable(self, start: int, goal: int) -> bool:
-        if start == goal:
-            return True
-        stack = [start]
-        seen = {start}
-        while stack:
-            node = stack.pop()
-            for nxt in self._succ.get(node, ()):
-                if nxt == goal:
-                    return True
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return False
+    def successors(self):
+        """(before, the set of points right after it) for every point
+        with successors."""
 
-    def add_edge(self, before: int, after: int):
-        if before == after:
-            return
-        if self.reachable(after, before):
-            return  # would close a cycle; only recursion can get here
-        self._succ.setdefault(before, set()).add(after)
-
-    def iter_edges(self):
-        """The realized edges as (before, after) pairs, one at a time."""
-
-        for before, afters in self._succ.items():
-            for after in afters:
-                yield before, after
+        return self._succ.items()
 
     @property
     def edges(self) -> set:
-        return set(self.iter_edges())
-
-    def precedes(self, a: int, b: int) -> bool:
-        """a strictly precedes b in the realized order (transitively)."""
-
-        return a != b and self.reachable(a, b)
+        return {(before, after) for before, afters in self._succ.items() for after in afters}
 
     # -- bindings --------------------------------------------------------------
 
     def bind(self, subject, point: int, pair: DepPair, incoming, threading: bool = True):
-        for dep_point in pair.points():
-            self.add_edge(dep_point, point)
+        # the sources: the pair's points, the threading and chaining points
+        sources = {pt for _, pt in pair.locs}
+        sources.update(pt for _, pt in pair.vars)
         if threading and incoming is not None:
-            self.add_edge(incoming, point)
+            sources.add(incoming)
         previous = self.latest.get(subject)
         if previous is not None:
-            self.add_edge(previous, point)
+            sources.add(previous)
+        sources.discard(point)
+        succ = self._succ
+        if sources and succ.get(point):
+            sources -= _search(succ, (point,))  # each would close a cycle
+        for before in sources:
+            afters = succ.get(before)
+            if afters is None:
+                succ[before] = {point}
+            else:
+                afters.add(point)
         key = (subject, point)
         if key in self.w:
             self.w[key] = self.w[key].union(pair)
@@ -226,11 +228,10 @@ class DepState:
         return frozenset(self._points.get(subject, ()))
 
     def ip(self, subject):
-        """Interpretation: the top of the subject's binding chain.
-
-        Returns the binding point, or None when the subject was never
-        bound.  Chaining edges make the temporally last binding also the
-        order-greatest one, so ``latest`` is the supremum.
+        """The subject's latest binding point, or None when it was never
+        bound.  Chaining edges make it the order-greatest binding point
+        unless a revisit dropped its chaining edge; ``ip_sem`` finds the
+        greatest one in every case.
         """
 
         return self.latest.get(subject)
@@ -566,19 +567,24 @@ def ip_sem(subject, dep: DepState):
     """The interpretation of a subject: its order-greatest binding atom.
 
     Returns (subject, point) for the unique greatest binding point of the
-    subject in dom(w), or None when the subject was never bound.  When no
-    unique greatest point exists the order is ambiguous for the subject,
-    which chaining edges normally prevent.
+    subject in dom(w), or None when the subject was never bound.  The
+    order is acyclic (``bind`` drops every edge that would close a cycle),
+    so a binding point is below another exactly when one backward search
+    from all binding points, over a predecessor map that lives only for
+    this call, reaches it.  The points it does not reach are the tops; no
+    unique top means the order is ambiguous for the subject.
     """
 
     candidates = dep.bound_points(subject)
     if not candidates:
         return None
-    tops = [
-        p
-        for p in candidates
-        if not any(dep.precedes(p, q) for q in candidates if q != p)
-    ]
+    if len(candidates) == 1:
+        return (subject, next(iter(candidates)))
+    pred: dict = {}
+    for before, afters in dep.successors():
+        for after in afters:
+            pred.setdefault(after, []).append(before)
+    tops = candidates - _search(pred, candidates)
     if len(tops) != 1:
         raise AmbiguousPredecessor(subject, candidates)
-    return (subject, tops[0])
+    return (subject, next(iter(tops)))

@@ -294,11 +294,11 @@ class Pi:
 
     ``visit`` lists the points in the order the checking walk reached them,
     and every edge runs forward along it, so ``visit`` is a topological
-    order.  On first use one pass over it builds ``index`` (point to
-    position in ``visit``) and ``anc`` (point to the Python-int bitset of
-    its strict ancestors, bit ``index[a]`` set when ``a`` precedes it);
-    an edge running against the visit order raises ValueError.  Points
-    outside ``visit`` are unordered.
+    order.  On first use one pass over it builds ``reach``: ``index``
+    (point to position in ``visit``) and ``anc`` (point to the Python-int
+    bitset of its strict ancestors, bit ``index[a]`` set when ``a``
+    precedes it); an edge running against the visit order raises
+    ValueError.  Points outside ``visit`` are unordered.
     """
 
     def __init__(self, visit: tuple, edges: frozenset):
@@ -311,8 +311,9 @@ class Pi:
             self._pred.setdefault(b, set()).add(a)
 
     @cached_property
-    def _reach(self) -> tuple:
-        """(index, anc), built in one pass over the visit order."""
+    def reach(self) -> tuple:
+        """(index, anc), built in one pass over the visit order: a bit
+        test on them answers whether one point precedes another."""
 
         index: dict = {}
         anc: dict = {}
@@ -333,7 +334,7 @@ class Pi:
     def precedes(self, a: int, b: int) -> bool:
         """a strictly precedes b, transitively."""
 
-        index, anc = self._reach
+        index, anc = self.reach
         return a != b and a in index and b in anc and anc[b] >> index[a] & 1 == 1
 
     def at_or_before(self, a: int, b: int) -> bool:
@@ -342,7 +343,7 @@ class Pi:
     def closure(self) -> frozenset:
         """Every strictly ordered pair (a, b)."""
 
-        index, anc = self._reach
+        index, anc = self.reach
         return frozenset(
             (a, b)
             for b in self.visit

@@ -15,6 +15,7 @@ hand in the test modules and asserted exactly.
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -43,6 +44,17 @@ INDIRECT_FLOW_SRC = (
     " (let _ ((r@3) := (h@4))@5"
     " (let l (!(r@6))@7 (l@8)@9)@10)@11)@12"
 )
+
+
+def cases_source(n: int) -> str:
+    """n sequential two-arm cases over one cell, each arm writing it."""
+    rng = random.Random(n)
+    arms = "".join(
+        f"(let c{i} (case (! r) [0 -> (r := {rng.randint(0, 9)}),"
+        f" _ -> (r := (+ (! r) {rng.randint(1, 9)}))]) "
+        for i in range(1, n + 1)
+    )
+    return f"(let h {rng.randint(1, 9)} (let r (ref h) " + arms + "(! r)" + ")" * (n + 2)
 
 
 @pytest.fixture

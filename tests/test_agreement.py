@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +20,9 @@ from refflow.agreement import (
 )
 from refflow.semantics import DepPair, DepState, Location, evaluate
 from refflow.syntax import free_vars, parse, pretty
-from refflow.typesys import MUTATIONS, Base, TypeCheckError, typecheck
+from refflow.typesys import MUTATIONS, TypeCheckError, typecheck
+
+from conftest import cases_source
 
 
 # ---------------------------------------------------------------------------
@@ -179,17 +180,6 @@ def test_reports_under_every_mutation_pinned():
     assert digest == "ff512f009f54f4b6"
 
 
-def _cases_source(n: int) -> str:
-    """n sequential two-arm cases over one cell, each arm writing it."""
-    rng = random.Random(n)
-    arms = "".join(
-        f"(let c{i} (case (! r) [0 -> (r := {rng.randint(0, 9)}),"
-        f" _ -> (r := (+ (! r) {rng.randint(1, 9)}))]) "
-        for i in range(1, n + 1)
-    )
-    return f"(let h {rng.randint(1, 9)} (let r (ref h) " + arms + "(! r)" + ")" * (n + 2)
-
-
 @pytest.mark.parametrize(
     "n, digest",
     [(4, "8e935f6c545336be"), (8, "47b0ffda5c102852"), (20, "4dbe9bd26f94b4d2")],
@@ -198,7 +188,7 @@ def test_reports_on_cases_pinned(n, digest):
     """[DERIVED] The oracle's reports on cases(n), where Pi branches and
     joins n times and one cell is written at every arm, unmutated and
     under each mutation, hash to a pinned digest."""
-    prog = parse(_cases_source(n))
+    prog = parse(cases_source(n))
     rows = []
     for mutation in (None, *MUTATIONS):
         try:
@@ -206,6 +196,32 @@ def test_reports_on_cases_pinned(n, digest):
         except TypeCheckError as err:
             rows.append(str(err))
     assert hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()[:16] == digest
+
+
+def test_ip_clause_needs_a_covering_variable(alias_chain):
+    """[DERIVED] The ip clause holds on the reference program and on
+    cases(8), one check per location; a cell bound at a point its internal
+    variable was never typed at (10, where the cell's typing covers only 2
+    and 8) has no covering variable and fails the clause."""
+    from refflow import agreement
+
+    for program in (alias_chain, parse(cases_source(8))):
+        outcome = evaluate(program)
+        judge = agreement._Judge(typecheck(program), AgreementReport())
+        judge.check_ip(outcome.dep)
+        locations = [s for s in outcome.dep.subjects() if isinstance(s, Location)]
+        assert judge.clauses["ip"].holds
+        assert judge.clauses["ip"].activity == len(locations) > 0
+
+    dep = DepState()
+    for point in (2, 8, 10):
+        dep.bind(Location(0), point, DepPair(), None)
+    judge = agreement._Judge(typecheck(alias_chain), AgreementReport())
+    judge.check_ip(dep)
+    assert judge.clauses["ip"].activity == 1
+    assert judge.clauses["ip"].witnesses == (
+        "loc0 interpreted at 10, not among chain-wise interpretations",
+    )
 
 
 # ---------------------------------------------------------------------------

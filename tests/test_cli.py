@@ -11,6 +11,7 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -342,6 +343,23 @@ def test_json_output_is_stable():
     argv = ["eval", "--json", "--expr", ALIAS_CHAIN_SRC]
     outputs = {run_cli(argv)[1] for _ in range(3)}
     assert len(outputs) == 1
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize(
+    "command, source, recorded",
+    [("eval", "countdown.rf", "countdown.eval.json"), ("check", "cases8.rf", "cases8.check.json")],
+)
+def test_recorded_json_outputs(command, source, recorded):
+    """[DERIVED] eval --json on an untyped recursive countdown, which
+    revisits binding points, and check --json on cases(8) print the bytes
+    recorded in tests/data; CI compares a fresh process against the same
+    files."""
+    code, out = run_cli([command, "--json", str(DATA / source)])
+    assert code == 0
+    assert out == (DATA / recorded).read_text(encoding="utf-8")
 
 
 def test_eval_json_content():

@@ -6,6 +6,9 @@ source material's worked examples, [TRIVIAL] structural sanity.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +32,7 @@ from refflow.semantics import (
 )
 from refflow.syntax import PBool, PNat, PTuple, PVar, PWildcard, parse
 
-from conftest import ALIAS_CHAIN_SRC
+from conftest import cases_source
 
 LOC0 = Location(0)
 
@@ -232,10 +235,37 @@ def test_ip_sem_requires_unique_supremum():
     dep.bind(LOC0, 2, EMPTY_PAIR, None)
     dep.bind(LOC0, 8, EMPTY_PAIR, None, threading=False)
     # No order edge relates 2 and 8, so neither write is latest.
-    dep.edges.clear()
     dep._succ.clear()
     with pytest.raises(AmbiguousPredecessor):
         ip_sem(LOC0, dep)
+
+
+def test_revisit_source_reachable_from_point_gets_no_edge():
+    """[DERIVED] Rebinding x at 5 after 5 -> 7 -> 9 were realized: the
+    sources 7 and 9 are reachable from 5, so each edge into 5 would close
+    a cycle and is dropped; the unrelated source 3 gets its edge, and the
+    chaining source is 5 itself."""
+    dep = DepState()
+    dep.bind("x", 5, EMPTY_PAIR, None)
+    dep.bind("y", 7, DepPair(frozenset(), frozenset({("x", 6)})), 5)
+    dep.bind("w", 9, EMPTY_PAIR, 7)
+    assert dep.edges == {(5, 7), (6, 7), (7, 9)}
+    dep.bind("x", 5, DepPair(frozenset(), frozenset({("w", 9), ("z", 3)})), 7)
+    assert dep.edges == {(5, 7), (6, 7), (7, 9), (3, 5)}
+    assert ip_sem("x", dep) == ("x", 5)
+
+
+def test_ip_sem_finds_top_when_latest_is_not():
+    """[DERIVED] Rebinding the cell at 2 after 2 -> 8: the chaining edge
+    8 -> 2 would close a cycle and is dropped, so the latest binding 2 is
+    not the top; the backward search from both points finds the unique
+    greatest point, 8."""
+    dep = DepState()
+    dep.bind(LOC0, 2, EMPTY_PAIR, None)
+    dep.bind(LOC0, 8, EMPTY_PAIR, None)
+    dep.bind(LOC0, 2, EMPTY_PAIR, None)
+    assert dep.edges == {(2, 8)} and dep.ip(LOC0) == 2
+    assert ip_sem(LOC0, dep) == (LOC0, 8)
 
 
 def test_ip_sem_missing_subject():
@@ -262,6 +292,51 @@ def test_bound_points_equals_scan_of_w():
     dep.bind(LOC0, 5, EMPTY_PAIR, None)
     assert dep.bound_points(LOC0) == frozenset({2, 5})
     assert isinstance(dep.bound_points(LOC0), frozenset)
+
+
+# Untyped recursive programs: recursion revisits binding points, so some
+# bindings find their point already ordered before their sources.
+RECURSIVE_SRCS = (
+    r"(let rec f (λx. (case x [0 -> 0, _ -> (f (- x 1))])) (f 3))",
+    r"(let rec f (λx. (let y (- x 1) (case y [0 -> 0, _ -> (f y)]))) (f 3))",
+    r"(let rec sum (λn. (case n [0 -> 0, m -> (+ m (sum (- m 1)))])) (sum 5))",
+    r"(let rec fact (λn. (case n [0 -> 1, m -> (* m (fact (- m 1)))])) (fact 6))",
+    r"(let rec fib (λn. (case n [0 -> 0, 1 -> 1, m -> (+ (fib (- m 1)) (fib (- m 2)))])) (fib 6))",
+    r"(let rec f (λx. (case x [0 -> 0, m -> (let y m (f (- y 1)))])) (f 3))",
+    r"(let rec f (λx. (case x [0 -> 0, _ -> (let z (f (- x 1)) (+ z x))])) (f 4))",
+    r"(let r (ref 0) (let rec f (λx. (case x [0 -> (! r),"
+    r" m -> (let u (r := (+ (! r) m)) (f (- m 1)))])) (f 4)))",
+    r"(let r (ref 1) (let rec g (λn. (case n [0 -> (! r),"
+    r" m -> (let k (r := (* (! r) m)) (g (- m 1)))])) (g 5)))",
+)
+
+
+def _realized_row(program) -> list:
+    """The sorted realized edges, then each bound subject's semantic
+    interpretation (or the ambiguity it raises)."""
+    dep = evaluate(program).dep
+    interpretations = []
+    for subject in sorted(dep.subjects(), key=repr):
+        try:
+            interpretations.append(repr(ip_sem(subject, dep)))
+        except AmbiguousPredecessor as err:
+            interpretations.append(str(err))
+    return [sorted(dep.edges), interpretations]
+
+
+def test_realized_edges_pinned():
+    """[DERIVED] The realized order and every bound subject's semantic
+    interpretation, over the 1000 corpus programs, cases(4/8/20) and
+    untyped recursive programs that revisit points, hash to a pinned
+    digest."""
+    from refflow.agreement import gen_program
+
+    programs = [gen_program(seed, 1 + seed % 30) for seed in range(1000)]
+    programs += [parse(cases_source(n)) for n in (4, 8, 20)]
+    programs += [parse(src) for src in RECURSIVE_SRCS]
+    rows = [_realized_row(program) for program in programs]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+    assert digest == "a87ab7bbc01a7bf1"
 
 
 # ---------------------------------------------------------------------------

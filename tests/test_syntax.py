@@ -24,7 +24,6 @@ from refflow.syntax import (
     Let,
     ParseError,
     PTuple,
-    PVar,
     PWildcard,
     Ref,
     SyntaxModuleError,

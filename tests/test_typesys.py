@@ -37,7 +37,7 @@ from refflow.typesys import (
     typecheck,
 )
 
-from conftest import ALIAS_CHAIN_SRC, DOUBLE_USE_SRC
+from conftest import ALIAS_CHAIN_SRC
 
 V2 = IVar(2)
 
