@@ -10,9 +10,13 @@ an occurrence of a high variable.
 
 The verdict is computed twice, from two readings of the same data:
 
-* the origin reading walks the expanded origin set directly;
+* the origin reading walks the expanded origin set directly, one step
+  per atom the expansion reaches, with set difference adding each
+  internal variable's entry;
 * the chain reading additionally demands that the order relation place
-  the high occurrence at or before the low binding.
+  the high occurrence at or before the low binding: one read of the
+  binding's ancestor bitset in Pi per low binding, then one bit test
+  per flow.
 
 Origins only ever point backwards, so the two readings must agree; a
 discrepancy would mean the analysis produced an origin the order cannot
@@ -97,9 +101,9 @@ def default_labeling(program: Occurrence, stride: int = 3) -> dict:
 class Flow:
     """One witnessed leak: a high occurrence reaching a low binding.
 
-    A verdict can hold quadratically many flows, so a flow is two
-    references to pairs it shares with its verdict's other flows: the
-    occurrence atom (subject, point) and the binding site (binder, point).
+    A flow is two references to pairs it shares with its verdict's other
+    flows: the occurrence atom (subject, point) and the binding site
+    (binder, point).
     """
 
     atom: tuple
@@ -135,13 +139,41 @@ class Flow:
 
 @dataclass(frozen=True, slots=True)
 class NoninterferenceVerdict:
-    ok: bool
-    flows: tuple
-    chain_flows: tuple
+    """The flows one check found, and where its two readings part.
+
+    A verdict holds each flow as two references it shares with the
+    verdict's other flows, ``atoms[i]`` (the high occurrence) and
+    ``sites[i]`` (the low binding), in the order of (binding point,
+    occurrence point, subject, binder); ``missed`` lists the positions
+    of the flows the chain reading did not confirm.  ``flows``,
+    ``chain_flows`` and ``formulations_agree`` are derived from these on
+    each access.  A verdict with no flows holds three empty tuples.
+    """
+
+    atoms: tuple = ()
+    sites: tuple = ()
+    missed: tuple = ()
+
+    @property
+    def ok(self) -> bool:
+        return not self.atoms
+
+    @property
+    def flows(self) -> tuple:
+        return tuple(map(Flow, self.atoms, self.sites))
+
+    @property
+    def chain_flows(self) -> tuple:
+        flows = self.flows
+        if not self.missed:
+            return flows
+        missed = set(self.missed)
+        return tuple(flow for position, flow in enumerate(flows) if position not in missed)
 
     @property
     def formulations_agree(self) -> bool:
-        return set(self.flows) == set(self.chain_flows)
+        # the chain reading only ever drops flows of the origin reading
+        return not self.missed
 
     def to_dict(self) -> dict:
         return {
@@ -166,63 +198,81 @@ def _origins_of(ty: Type) -> frozenset:
     return frozenset()
 
 
+def _at_or_before(pi: Pi, binding: int):
+    """A test of whether a point is at or before ``binding`` in Pi: one
+    read of the binding's ancestor bitset, then one bit test per point."""
+
+    index, anc = pi.reach
+    bits = anc.get(binding, 0)
+    return lambda point: point == binding or point in index and bits >> index[point] & 1 == 1
+
+
+def _ivar_atoms(atoms) -> list:
+    return [atom for atom in atoms if isinstance(atom[0], IVar)]
+
+
 def expanded_origins(ty: Type, gamma: TypeEnv, pi: Pi, binding: int) -> frozenset:
     """The origin set of ``ty`` closed transitively through the entries
-    of internal variables bound at or before ``binding``."""
+    of internal variables bound at or before ``binding``.
 
-    seen = set(_origins_of(ty))
-    frontier = list(seen)
+    Only internal-variable atoms are expanded, each once, and each
+    entry's atoms join by set difference, so the closure costs one step
+    per atom it reaches."""
+
+    origins = _origins_of(ty)
+    frontier = _ivar_atoms(origins)
+    if not frontier:
+        return origins
+    at_or_before = _at_or_before(pi, binding)
+    entries = gamma.entries
+    seen = set(origins)
     while frontier:
-        subject, point = frontier.pop()
-        if not isinstance(subject, IVar) or not pi.at_or_before(point, binding):
+        atom = frontier.pop()
+        entry = entries.get(atom)
+        if entry is None or not at_or_before(atom[1]):
             continue
-        entry = gamma.at(subject, point)
-        if entry is None:
-            continue
-        for atom in _origins_of(entry):
-            if atom not in seen:
-                seen.add(atom)
-                frontier.append(atom)
+        new = _origins_of(entry) - seen
+        if new:
+            seen |= new
+            frontier += _ivar_atoms(new)
     return frozenset(seen)
-
-
-def _flow_key(flow: Flow) -> tuple:
-    (subject, occurrence), (binder, binding) = flow.atom, flow.site
-    return (binding, occurrence, subject, binder)
-
-
-def _sorted_flows(flows: set) -> tuple:
-    return tuple(sorted(flows, key=_flow_key))
 
 
 def check_noninterference(program: Occurrence, labeling: dict) -> NoninterferenceVerdict:
     """Accept ``program`` unless a high variable's occurrence can reach
     the binding of a low variable.  Free variables are allowed; they are
-    the usual carriers of the high label."""
+    the usual carriers of the high label.
+
+    A binder is a sink when its level is ``low``, an atom a source when
+    its subject's level is ``high``.  The origin reading costs one step
+    per atom each sink's expanded origin set reaches; the chain reading
+    one bit test per flow against the sink's ancestor bitset in Pi.  The
+    flows are sorted once, as plain keys."""
 
     analysis: Analysis = typecheck(program, allow_free=True)
-    pi = analysis.pi
-    flows: set = set()
-    chain_flows: set = set()
+    pi, gamma, type_of = analysis.pi, analysis.gamma, analysis.type_of
+    high = {name for name, level in labeling.items() if level == HIGH}
+    keys = []
     for site in analysis.binding_sites:
         binder, binding = site
         if level_of(labeling, binder) != LOW:
             continue
-        reach = expanded_origins(analysis.type_of[binding], analysis.gamma, pi, binding)
-        for atom in reach:
-            subject, point = atom
-            if isinstance(subject, IVar) or level_of(labeling, subject) != HIGH:
-                continue
-            flow = Flow(atom, site)
-            flows.add(flow)
-            if pi.at_or_before(point, binding):
-                chain_flows.add(flow)
-    ordered = _sorted_flows(flows)
-    return NoninterferenceVerdict(
-        ok=not flows,
-        flows=ordered,
-        chain_flows=ordered if chain_flows == flows else _sorted_flows(chain_flows),
-    )
+        sources = [
+            atom
+            for atom in expanded_origins(type_of[binding], gamma, pi, binding)
+            if not isinstance(atom[0], IVar) and atom[0] in high
+        ]
+        if sources:
+            at_or_before = _at_or_before(pi, binding)
+            # the first four fields tell flows apart, so the sort never compares the rest
+            keys += [(binding, atom[1], atom[0], binder, atom, site, at_or_before(atom[1])) for atom in sources]
+    if not keys:
+        return NoninterferenceVerdict()
+    keys.sort()
+    *_, atoms, sites, chained = zip(*keys)
+    if all(chained):
+        return NoninterferenceVerdict(atoms, sites)
+    return NoninterferenceVerdict(atoms, sites, tuple(i for i, kept in enumerate(chained) if not kept))
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +308,7 @@ def semantic_low_flows(program: Occurrence, labeling: dict, *, budget: int = 1_0
         for atom in seen:
             if isinstance(atom[0], str) and level_of(labeling, atom[0]) == HIGH:
                 flows.add(Flow(atom, site))
-    return _sorted_flows(flows)
+    return tuple(sorted(flows, key=lambda flow: (flow.binding, flow.occurrence, flow.subject, flow.binder)))
 
 
 def _w_key(item):

@@ -43,8 +43,9 @@ come through unchanged.
 
 The reader splits the source with one regular expression and builds the
 final tree in one recursive descent, noting the explicit points and the
-binders as it goes; the numbering pass runs only when some node is
-unlabeled, and the renaming pass only when some binder repeats.
+binders as it goes.  Only when some node is unlabeled does one pre-order
+pass over that same tree number it in place; only when some binder
+repeats does a renaming pass build a second tree.
 """
 
 from __future__ import annotations
@@ -546,15 +547,21 @@ def _collect_explicit(occ, seen: set):
         _collect_explicit(child, seen)
 
 
-def _assign_points(occ, taken: set, counter: list) -> Occurrence:
-    point = occ.point
-    if point is None:
-        while counter[0] in taken:
-            counter[0] += 1
-        point = counter[0]
-        taken.add(point)
-    kids = tuple(_assign_points(c, taken, counter) for c in _children(occ.expr))
-    return Occurrence(_rebuild(occ.expr, kids), point)
+def _number_points(tree: Occurrence, taken: set):
+    """Give every unlabeled node of the tree the parser just built the
+    next id not taken explicitly, in pre-order, in place: no caller has
+    seen these nodes yet, so nothing can observe the change."""
+
+    point = 1
+    stack = [tree]
+    while stack:
+        occ = stack.pop()
+        if occ.point is None:
+            while point in taken:
+                point += 1
+            object.__setattr__(occ, "point", point)
+            point += 1
+        stack.extend(reversed(_children(occ.expr)))
 
 
 def _freshen(occ: Occurrence, env: dict, taken: set, avoid: set, counter: list) -> Occurrence:
@@ -625,7 +632,14 @@ def _freshen(occ: Occurrence, env: dict, taken: set, avoid: set, counter: list) 
 
 
 def parse(source: str) -> Occurrence:
-    """Parse a surface program into a fully labeled occurrence tree."""
+    """Parse a surface program into a fully labeled occurrence tree.
+
+    Explicit ``@N`` points stay; every other node takes, in pre-order,
+    the least id above the previous one that no explicit label claims.
+    The descent builds the tree once and the numbering fills in its
+    points in place, before the tree is returned; a renaming pass
+    rebuilds it only when a binder repeats.
+    """
 
     parser = _Parser(source)
     tree = parser.occurrence()
@@ -635,7 +649,7 @@ def parse(source: str) -> Occurrence:
     if len(taken) != len(parser.labels):
         _collect_explicit(tree, set())  # raises, naming the first repeat in pre-order
     if parser.unlabeled:
-        tree = _assign_points(tree, taken, [1])
+        _number_points(tree, taken)
     binders = parser.binders
     if len(binders) == len(set(binders)):
         return tree

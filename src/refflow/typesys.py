@@ -337,9 +337,6 @@ class Pi:
         index, anc = self.reach
         return a != b and a in index and b in anc and anc[b] >> index[a] & 1 == 1
 
-    def at_or_before(self, a: int, b: int) -> bool:
-        return a == b or self.precedes(a, b)
-
     def closure(self) -> frozenset:
         """Every strictly ordered pair (a, b)."""
 

@@ -350,15 +350,24 @@ DATA = Path(__file__).parent / "data"
 
 @pytest.mark.parametrize(
     "command, source, recorded",
-    [("eval", "countdown.rf", "countdown.eval.json"), ("check", "cases8.rf", "cases8.check.json")],
+    [
+        ("eval", "countdown.rf", "countdown.eval.json"),
+        ("check", "cases8.rf", "cases8.check.json"),
+        ("nifc", "cases8.rf", "cases8.nifc.json"),
+    ],
 )
 def test_recorded_json_outputs(command, source, recorded):
     """[DERIVED] eval --json on an untyped recursive countdown, which
-    revisits binding points, and check --json on cases(8) print the bytes
+    revisits binding points, check --json on cases(8), and nifc --json on
+    cases(8) under its default labeling (tests/data/cases8.labels; the
+    high cell reaches low binders, so nifc exits 1) print the bytes
     recorded in tests/data; CI compares a fresh process against the same
     files."""
-    code, out = run_cli([command, "--json", str(DATA / source)])
-    assert code == 0
+    argv = [command, "--json", str(DATA / source)]
+    if command == "nifc":
+        argv += ["--labels", str(DATA / "cases8.labels")]
+    code, out = run_cli(argv)
+    assert code == (1 if command == "nifc" else 0)
     assert out == (DATA / recorded).read_text(encoding="utf-8")
 
 

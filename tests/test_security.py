@@ -5,10 +5,15 @@ Tags: [DERIVED] hand-computed oracle, [TRIVIAL] structural sanity.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from refflow import security
 from refflow.security import (
     HIGH,
     LOW,
@@ -22,8 +27,9 @@ from refflow.security import (
     semantic_low_flows,
 )
 from refflow.syntax import parse
+from refflow.typesys import Base, IVar, Pi, atom_key, show_atom, typecheck
 
-from conftest import DIRECT_FLOW_SRC, INDIRECT_FLOW_SRC, NO_FLOW_SRC
+from conftest import DIRECT_FLOW_SRC, INDIRECT_FLOW_SRC, NO_FLOW_SRC, cases_source
 
 H_HIGH = {"h": HIGH}
 
@@ -149,8 +155,6 @@ def test_default_labeling_names_every_binder():
 def test_expansion_pulls_internal_entries():
     """[DERIVED] The read's origin set mentions the cell's internal
     variable; expansion pulls the written secret through it."""
-    from refflow.typesys import IVar, typecheck
-
     prog = parse(INDIRECT_FLOW_SRC)
     analysis = typecheck(prog, allow_free=True)
     read_ty = analysis.type_of[7]
@@ -158,6 +162,86 @@ def test_expansion_pulls_internal_entries():
     assert IVar(2) in direct
     expanded = expanded_origins(read_ty, analysis.gamma, analysis.pi, 7)
     assert ("h", 4) in expanded
+
+
+def test_expansion_skips_entries_bound_after_the_binding():
+    """[DERIVED] The cell's entry at the write (point 5) holds the secret
+    h@4; an origin set naming that entry expands through it for a
+    binding at 7, after the write, but not for one at 2, before it."""
+    analysis = typecheck(parse(INDIRECT_FLOW_SRC), allow_free=True)
+    at_write = Base(frozenset({(IVar(2), 5)}))
+    assert ("h", 4) in analysis.gamma.at(IVar(2), 5).delta
+    after = expanded_origins(at_write, analysis.gamma, analysis.pi, 7)
+    assert ("h", 4) in after
+    before = expanded_origins(at_write, analysis.gamma, analysis.pi, 2)
+    assert before == {(IVar(2), 5)}
+
+
+# ---------------------------------------------------------------------------
+# The chain reading
+# ---------------------------------------------------------------------------
+
+
+def test_chain_reading_fails_without_an_order(monkeypatch):
+    """[DERIVED] With every edge taken out of Pi, no high occurrence
+    is at or before a later low binding: the chain reading drops the
+    flows the origin reading still finds, and the verdict says the two
+    readings disagree."""
+
+    def unordered(program, **kwargs):
+        analysis = typecheck(program, **kwargs)
+        return dataclasses.replace(analysis, pi=Pi(analysis.pi.visit, frozenset()))
+
+    monkeypatch.setattr(security, "typecheck", unordered)
+    verdict = check_noninterference(parse(INDIRECT_FLOW_SRC), H_HIGH)
+    assert not verdict.ok
+    assert not verdict.formulations_agree
+    assert set(verdict.chain_flows) < set(verdict.flows)
+    assert Flow(("h", 4), ("l", 7)) not in verdict.chain_flows
+    assert verdict.to_dict()["formulations_agree"] is False
+
+
+# ---------------------------------------------------------------------------
+# Pinned verdicts
+# ---------------------------------------------------------------------------
+
+# Hand programs with their labelings, one per labeling shape the corpus
+# lacks: a free high input, a high binder, a level that is neither high
+# nor low (accepted through the API, not by parse_labeling), a function
+# parameter and a case pattern as low sinks.
+HAND_NIFC = [
+    (DIRECT_FLOW_SRC, H_HIGH),
+    (NO_FLOW_SRC, H_HIGH),
+    (INDIRECT_FLOW_SRC, H_HIGH),
+    ("(let r (ref 0) (let _ (r := h) (let l (! r) (+ l h))))", H_HIGH),
+    ("(let k h (let l (+ k 1) (let m (+ l h) m)))", {"h": HIGH, "k": HIGH}),
+    ("(let m h (let l m (let n (+ l h) n)))", {"h": HIGH, "m": "secret", "n": "secret"}),
+    (r"(let f (\x. (+ x 1)) (f h))", H_HIGH),
+    ("(let r (ref h) (case (! r) [0 -> 1, y -> (let l (+ y 1) l)]))", H_HIGH),
+]
+
+
+def test_nifc_verdicts_pinned():
+    """[DERIVED] The verdicts' JSON and the expanded origin set at every
+    low site, on the 1000 corpus programs and cases(4/8/20) under their
+    default labelings and on the hand programs, hash to pinned digests."""
+    from refflow.agreement import gen_program
+
+    programs = [gen_program(seed, 1 + seed % 30) for seed in range(1000)]
+    programs += [parse(cases_source(n)) for n in (4, 8, 20)]
+    labeled = [(prog, default_labeling(prog)) for prog in programs]
+    labeled += [(parse(source), labeling) for source, labeling in HAND_NIFC]
+    verdicts = []
+    origins = []
+    for prog, labeling in labeled:
+        verdicts.append(json.dumps(check_noninterference(prog, labeling).to_dict()))
+        analysis = typecheck(prog, allow_free=True)
+        for binder, binding in analysis.binding_sites:
+            if level_of(labeling, binder) == LOW:
+                reach = expanded_origins(analysis.type_of[binding], analysis.gamma, analysis.pi, binding)
+                origins.append([binder, binding, [show_atom(atom) for atom in sorted(reach, key=atom_key)]])
+    assert hashlib.sha256(json.dumps(verdicts).encode()).hexdigest()[:16] == "ef9a0908d9c649e4"
+    assert hashlib.sha256(json.dumps(origins).encode()).hexdigest()[:16] == "d6f246f0deb69254"
 
 
 # ---------------------------------------------------------------------------
