@@ -19,16 +19,21 @@ A report carries one verdict per clause with witnesses on failure plus
 an activity counter saying how often the clause actually had something
 to check, so a fuzz campaign can tell vacuous passes from real ones.
 
-What the judge pays per event follows what is new or failing.  Checks
-that pass are counted in bulk and format nothing; witnesses are built,
-sorted, only for failures.  A dependency pair costs one set difference
-for its variable atoms and one decision per distinct location, an
-early-exit scan over delta.  The realized order costs one bit test per
-edge against Pi's ancestor bitsets, once the run ends.  The
-environment and the store are checked only for bindings and writes no
-earlier event showed, and an environment seen at the previous event is
-skipped outright.  The inverse environment is built at most once per
-environment, and only when a location check reads it.
+What the judge pays follows what is new or failing.  An event is one
+plain call (``semantics`` gives the protocol).  Checks that pass are
+counted in bulk and format nothing; witnesses, and the text saying
+where, are built, sorted, only for failures.  A dependency pair costs
+one subset test for its variable atoms and one decision per distinct
+location, an early-exit scan over delta; an end event with an empty pair
+and a value that is not a location costs no more than its call.  The
+environment is checked per binding: a bind event records its (name,
+point) pair, which is checked once, at the first end event whose
+environment holds it, and a location's holders are read off the pairs
+bound to it, so no environment is scanned whole.  The store is checked
+per write, at the first end event after it.  The realized order costs
+one bit test per edge against Pi's ancestor bitsets, once the run ends.
+Alias blocks are read off the checking walk's merges; a subject no
+merge touches is its own block.
 """
 
 from __future__ import annotations
@@ -139,20 +144,15 @@ class AgreementReport:
 # ---------------------------------------------------------------------------
 
 
-def _env_inverse(env: dict) -> dict:
-    """Every location the environment holds, with the sorted names holding it."""
+def _place(where) -> str:
+    """A witness's opening: ``where`` is the point of the end event that
+    checked, or (that point, location, write point) for the content of a
+    write."""
 
-    holders: dict = {}
-    for name, (value, _) in env.items():
-        if isinstance(value, Location):
-            holders.setdefault(value, []).append(name)
-    return {location: tuple(sorted(names)) for location, names in holders.items()}
-
-
-def _block_map(alias_base: tuple) -> dict:
-    """Each subject of the alias base, with the block it belongs to."""
-
-    return {subject: block for block in alias_base for subject in block}
+    if isinstance(where, int):
+        return f"point {where}"
+    point, location, current = where
+    return f"point {point}: {location}@{current}"
 
 
 def _loc_atom_key(atom) -> tuple:
@@ -178,54 +178,6 @@ def _gamma_ivars(gamma: TypeEnv) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# The agreement clauses
-# ---------------------------------------------------------------------------
-
-
-def _dep_agree(clause: ClauseVerdict, pair: DepPair, delta: frozenset, holders, locations,
-               blocks: dict, where: str):
-    """One check per occurrence in the pair; only the failing ones are
-    sorted and shown.  ``holders`` maps a location to the sorted names
-    holding it, ``locations`` a set of location atoms to its distinct
-    locations.  A location atom's verdict depends on its location only:
-    held, its holders' block must meet delta; unheld, delta must mention
-    an internal variable.  Each is one scan over delta that stops at the
-    first atom deciding it."""
-
-    clause.activity += len(pair.vars) + len(pair.locs)
-    for atom in sorted(pair.vars - delta):
-        clause.fail(f"{where}: variable occurrence {show_atom(atom)} not in delta")
-    if not pair.locs:
-        return
-    uncovered: dict = {}  # failing location -> its holders
-    for location in locations(pair.locs):
-        names = holders(location)
-        if names:
-            block = blocks.get(names[0])
-            ok = (
-                block is not None
-                and all(name in block for name in names)
-                and any(subject in block for subject, _ in delta)
-            )
-        else:
-            ok = any(isinstance(subject, IVar) for subject, _ in delta)
-        if not ok:
-            uncovered[location] = names
-    if not uncovered:
-        return
-    for location, point in sorted((a for a in pair.locs if a[0] in uncovered), key=_loc_atom_key):
-        names = uncovered[location]
-        if names:
-            clause.fail(
-                f"{where}: holders {list(names)} of {location}@{point} not in a delta-represented block"
-            )
-        else:
-            clause.fail(
-                f"{where}: no internal-variable occurrence in delta covers unreachable {location}@{point}"
-            )
-
-
-# ---------------------------------------------------------------------------
 # The step-by-step judge
 # ---------------------------------------------------------------------------
 
@@ -233,40 +185,46 @@ def _dep_agree(clause: ClauseVerdict, pair: DepPair, delta: frozenset, holders, 
 class _Judge:
     """Applies the clauses to events as a run unfolds.
 
-    Its caches (the distinct locations of each set of location atoms, the
-    inverse of the current environment) live only as long as one run.  It
-    searches nothing per event: deltas are scanned, and the realized order
-    is tested edge by edge against Pi's ancestor bitsets once the run ends.
+    Besides per-program indices it keeps only what the bind events
+    announced: the (name, binding point) pairs no end event has checked
+    yet, the pairs bound to each location, which give its holders, and
+    the writes since the store was last checked.
     """
 
     def __init__(self, analysis: Analysis, report: AgreementReport):
-        self.analysis = analysis
         self.gamma = analysis.gamma
         self.pi = analysis.pi
+        self.type_of = analysis.type_of
         self.report = report
         self.clauses = report.clauses
         # per-program indices, built once: Γ is complete before the run starts
         self.ivars = _gamma_ivars(self.gamma)
-        self.blocks = _block_map(analysis.alias_base)
+        self.blocks = dict(analysis.alias_blocks)  # singletons join on first use
         self.fv_table = free_name_table(analysis.program)
         self.stack: list = []
-        self.seen_env: set = set()
-        self.seen_store: set = set()
+        self.env: dict = {}  # the environment of the latest end event
         self._locations: dict = {}  # location atoms -> their distinct locations
-        # An environment dict is never changed once evaluation uses it, so
-        # one seen again needs neither a new inverse nor a new check.
-        self._env: dict | None = None
-        self._inverse: dict | None = None  # of self._env, built on first use
-        self._checked_env: dict | None = None
+        self._holding: dict = {}  # location -> (name, binding point) pairs bound to it
+        self._unchecked: set = set()  # (name, binding point) pairs no end event checked
+        self._checked: set = set()
+        self._written: dict = {}  # location -> (point, content) of its latest unchecked write
+        self._checked_writes: set = set()
 
     # -- caches -----------------------------------------------------------------
 
     def holders(self, location: Location) -> tuple:
         """The sorted names holding the location in the current environment."""
 
-        if self._inverse is None:
-            self._inverse = _env_inverse(self._env)
-        return self._inverse.get(location, ())
+        env = self.env
+        return tuple(sorted(
+            name for name, point in self._holding.get(location, ()) if env.get(name) == (location, point)
+        ))
+
+    def block(self, subject) -> frozenset:
+        found = self.blocks.get(subject)
+        if found is None:
+            found = self.blocks[subject] = frozenset((subject,))
+        return found
 
     def locations(self, locs: frozenset) -> tuple:
         found = self._locations.get(locs)
@@ -276,98 +234,125 @@ class _Judge:
 
     # -- per-clause primitives -----------------------------------------------
 
-    def dep_agree(self, pair: DepPair, delta: frozenset, where: str):
-        _dep_agree(
-            self.clauses["dependency"], pair, delta, self.holders, self.locations,
-            self.blocks, where,
-        )
+    def dep_agree(self, pair: DepPair, delta: frozenset, where):
+        """One check per occurrence in the pair; only the failing ones are
+        sorted and shown.  A location atom's verdict depends on its
+        location only: held, its holders' block must meet delta; unheld,
+        delta must mention an internal variable.  Each is one scan over
+        delta that stops at the first atom deciding it."""
 
-    def alias_agree(self, dep: DepState, location: Location, kappa: frozenset, where: str):
+        clause = self.clauses["dependency"]
+        clause.activity += len(pair.vars) + len(pair.locs)
+        if not pair.vars <= delta:
+            place = _place(where)
+            for atom in sorted(pair.vars - delta):
+                clause.fail(f"{place}: variable occurrence {show_atom(atom)} not in delta")
+        if not pair.locs:
+            return
+        uncovered: dict = {}  # failing location -> its holders
+        for location in self.locations(pair.locs):
+            names = self.holders(location)
+            if names:
+                block = self.block(names[0])
+                ok = all(name in block for name in names) and any(
+                    subject in block for subject, _ in delta
+                )
+            else:
+                ok = any(isinstance(subject, IVar) for subject, _ in delta)
+            if not ok:
+                uncovered[location] = names
+        if not uncovered:
+            return
+        place = _place(where)
+        for location, point in sorted((a for a in pair.locs if a[0] in uncovered), key=_loc_atom_key):
+            names = uncovered[location]
+            if names:
+                clause.fail(
+                    f"{place}: holders {list(names)} of {location}@{point} not in a delta-represented block"
+                )
+            else:
+                clause.fail(
+                    f"{place}: no internal-variable occurrence in delta covers unreachable {location}@{point}"
+                )
+
+    def alias_agree(self, dep: DepState, location: Location, kappa: frozenset, where):
         clause = self.clauses["alias"]
         kappa_internals = sorted((s for s in kappa if isinstance(s, IVar)), key=subject_key)
         covering = _covering_ivars(dep, self.gamma, location, kappa_internals)
         clause.activity += 1
         if not covering:
-            clause.fail(f"{where}: no internal variable in kappa covers all binding points of {location}")
+            clause.fail(f"{_place(where)}: no internal variable in kappa covers all binding points of {location}")
             return
         holders = self.holders(location)
         clause.activity += 1
         if holders:
-            block = self.blocks.get(holders[0])
-            ok = (
-                block is not None
-                and all(name in block for name in holders)
+            block = self.block(holders[0])
+            if not (
+                all(name in block for name in holders)
                 and any(internal in block for internal in covering)
-            )
-            if not ok:
+            ):
                 clause.fail(
-                    f"{where}: holders {list(holders)} of {location} share no block with its internal variable"
+                    f"{_place(where)}: holders {list(holders)} of {location} share no block with its internal variable"
                 )
-        elif not any(internal in self.blocks for internal in covering):
-            clause.fail(f"{where}: covering internal variable of {location} is in no block")
 
-    def type_agree(self, value, dep: DepState, pair: DepPair, ty: Type, where: str):
+    def type_agree(self, value, dep: DepState, pair: DepPair, ty: Type, where):
         if isinstance(value, Location):
             if not isinstance(ty, Base):
-                self.clauses["type"].check(False, f"{where}: location {value} typed as arrow {ty}")
+                self.clauses["type"].check(False, f"{_place(where)}: location {value} typed as arrow {ty}")
                 return
             self.dep_agree(pair, ty.delta, where)
             self.alias_agree(dep, value, ty.kappa, where)
             return
         self.dep_agree(pair, ty.pending if isinstance(ty, Arrow) else ty.delta, where)
 
-    def check_env(self, env: dict, where: str):
-        """Each binding once: only those no earlier event showed are sorted."""
+    def check_env(self, env: dict, point: int):
+        """The unchecked bindings this environment holds, each once, by name."""
 
-        if env is self._checked_env:
-            return
-        self._checked_env = env
-        seen = self.seen_env
-        fresh = [name for name, (_, bind_point) in env.items() if (name, bind_point) not in seen]
+        fresh = [name for name, bind_point in self._unchecked if name in env and env[name][1] == bind_point]
         environment, types = self.clauses["environment"], self.clauses["type"]
         for name in sorted(fresh):
             value, bind_point = env[name]
-            seen.add((name, bind_point))
+            self._unchecked.discard((name, bind_point))
+            self._checked.add((name, bind_point))
             points = sorted(self.gamma.bound_points(name))
             environment.activity += 1
             if not points:
-                environment.fail(f"{where}: no typing entry mentions {name}")
+                environment.fail(f"point {point}: no typing entry mentions {name}")
                 continue
             types.activity += 1
             if not any(type_value(value, self.gamma.at(name, pt)) for pt in points):
-                types.fail(f"{where}: value of {name} inhabits none of its recorded types")
+                types.fail(f"point {point}: value of {name} inhabits none of its recorded types")
 
-    def check_store(self, sto: dict, dep: DepState, where: str):
-        """Each (location, newest write) once: only new ones are sorted."""
+    def check_store(self, dep: DepState, point: int):
+        """Each (location, write point) once: the writes since the last
+        check, by location."""
 
-        latest, seen = dep.latest, self.seen_store
-        fresh = [location for location in sto if (location, latest.get(location)) not in seen]
+        written, self._written = self._written, {}
         alias, types = self.clauses["alias"], self.clauses["type"]
-        for location in sorted(fresh, key=_loc_index):
-            current = latest.get(location)
-            seen.add((location, current))
+        for location in sorted(written, key=_loc_index):
+            current, content = written[location]
+            if (location, current) in self._checked_writes:
+                continue
+            self._checked_writes.add((location, current))
             covering = _covering_ivars(dep, self.gamma, location, self.ivars)
             alias.activity += 1
             if not covering:
-                alias.fail(f"{where}: no internal variable covers the binding points of {location}")
-                continue
-            if current is None:
+                alias.fail(f"point {point}: no internal variable covers the binding points of {location}")
                 continue
             internal = covering[0]
             stored_ty = self.gamma.at(internal, current)
             alias.activity += 1
             if stored_ty is None:
-                alias.fail(f"{where}: no typing entry {internal}@{current} matches the newest write")
+                alias.fail(f"point {point}: no typing entry {internal}@{current} matches the newest write")
                 continue
-            content = sto[location]
             # the entry fuses the content's delta with the location's
             # alias set; the content itself is never reference-typed
             content_ty = Base(stored_ty.delta) if isinstance(stored_ty, Base) else stored_ty
             types.activity += 1
             if not type_value(content, content_ty):
-                types.fail(f"{where}: content of {location} does not inhabit {internal}@{current}")
+                types.fail(f"point {point}: content of {location} does not inhabit {internal}@{current}")
             written_pair = dep.w.get((location, current), DepPair())
-            self.type_agree(content, dep, written_pair, stored_ty, f"{where}: {location}@{current}")
+            self.type_agree(content, dep, written_pair, stored_ty, (point, location, current))
 
     def check_order(self, dep: DepState):
         """Each realized edge is one bit test against Pi's ancestor bitsets."""
@@ -409,37 +394,49 @@ class _Judge:
 
     # -- event hook ------------------------------------------------------------
 
-    def on_step(self, event):
-        if event.kind == "begin":
-            self.stack.append(event.occ.point)
+    def on_step(self, kind, occ, env, value, pair, dep):
+        """One event of the run, as ``semantics`` calls it; for a bind event
+        ``occ`` and ``env`` are the bound subject and its binding point."""
+
+        if kind == "begin":
+            self.stack.append(occ.point)
             return
-        if event.kind == "bind":
-            subject = event.subject
-            if isinstance(subject, str):
-                lemma = self.report.binding_lemma
-                lemma.activity += len(self.stack)
-                for frame in self.stack:
-                    if subject in self.fv_table.get(frame, ()):
-                        lemma.fail(f"{subject} bound during evaluation of point {frame} where it is free")
+        if kind == "bind":
+            subject, point = occ, env
+            if isinstance(subject, Location):
+                self._written[subject] = (point, value)
+                return
+            key = (subject, point)
+            if key not in self._checked:
+                self._unchecked.add(key)
+            if isinstance(value, Location):
+                self._holding.setdefault(value, set()).add(key)
+            lemma = self.report.binding_lemma
+            lemma.activity += len(self.stack)
+            for frame in self.stack:
+                if subject in self.fv_table.get(frame, ()):
+                    lemma.fail(f"{subject} bound during evaluation of point {frame} where it is free")
             return
         # end event
         if self.stack:
             self.stack.pop()
-        point = event.occ.point
-        ty = self.analysis.type_of.get(point)
+        point = occ.point
+        ty = self.type_of.get(point)
         if ty is None:
             self.clauses["type"].check(False, f"point {point} was evaluated but never typed")
             return
-        where = f"point {point}"
-        if isinstance(event.value, Location) and not isinstance(ty, Base):
-            self.clauses["type"].check(False, f"{where}: location typed as arrow {ty}")
+        if isinstance(value, Location) and not isinstance(ty, Base):
+            self.clauses["type"].check(False, f"point {point}: location typed as arrow {ty}")
             return
-        if event.env is not self._env:
-            self._env = event.env
-            self._inverse = None
-        self.type_agree(event.value, event.dep, event.pair, ty, where)
-        self.check_env(event.env, where)
-        self.check_store(event.store, event.dep, where)
+        self.env = env
+        if isinstance(value, Location):
+            self.type_agree(value, dep, pair, ty, point)
+        elif pair.vars or pair.locs:  # an empty pair has nothing to check
+            self.dep_agree(pair, ty.pending if isinstance(ty, Arrow) else ty.delta, point)
+        if self._unchecked:
+            self.check_env(env, point)
+        if self._written:
+            self.check_store(dep, point)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ Six commands, one per stage:
 Exit codes: 0 when everything holds, 1 when the analysis rejects the
 program or a verdict fails, 2 on usage or parse errors and on input
 files that are not UTF-8, 3 when a run is inconclusive because the step
-budget ran out.
+budget ran out or the program nests too deeply for Python's recursion
+limit (a ``RecursionError`` or ``MemoryError`` in any command).
 
 ``--json`` switches stdout to a single machine-readable document; the
 two modes never mix on one stream.  Machine output is byte-stable for
@@ -238,11 +239,9 @@ def _cmd_eval(args) -> int:
     program = _load_program(args)
     trace: list = []
 
-    def on_step(event):
-        if event.kind != "end":
-            return
-        rule = _RULE_NAMES[type(event.occ.expr)]
-        trace.append((rule, event.occ.point, event.pair))
+    def on_step(kind, occ, env, value, pair, dep):
+        if kind == "end":
+            trace.append((_RULE_NAMES[type(occ.expr)], occ.point, pair))
 
     try:
         outcome = evaluate(
@@ -555,6 +554,14 @@ def main(argv=None) -> int:
         return _fail(f"input error: {err}", EXIT_USAGE)
     except OSError as err:
         return _fail(str(err), EXIT_USAGE)
+    except (RecursionError, MemoryError) as err:
+        # the parser, the checking walk and the evaluator recurse once per
+        # nesting level, so a deep program decides nothing
+        return _fail(
+            f"inconclusive: {type(err).__name__}: the program nests too deeply"
+            f" for the recursion limit of {sys.getrecursionlimit()}",
+            EXIT_INCONCLUSIVE,
+        )
 
 
 if __name__ == "__main__":

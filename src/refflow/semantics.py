@@ -22,6 +22,22 @@ three kinds of edges:
 Self edges are dropped, and an edge whose addition would close a cycle
 is dropped too; the latter can only be provoked by recursive programs,
 which the type system rejects.
+
+A run can be watched through one callback, ``on_step``, called with six
+positional arguments and nothing allocated for it:
+
+* ``on_step("begin", occ, env, None, None, dep)`` before an occurrence
+  is evaluated in ``env``;
+* ``on_step("end", occ, env, value, pair, dep)`` once it has its value
+  and pair;
+* ``on_step("bind", subject, point, value, pair, dep)`` after ``subject``
+  is bound at ``point`` to ``value`` (for a location, the content just
+  written) with the pair ``pair``; every name an environment holds,
+  beyond those of the environment the run started from, was announced
+  this way before the environment is used.
+
+``dep`` is the run's ``DepState``.  An event costs one call, and without
+a callback nothing at all.
 """
 
 from __future__ import annotations
@@ -332,18 +348,6 @@ def match(pattern: Pattern, value, point: int = 0) -> dict | None:
 
 
 @dataclass
-class StepEvent:
-    kind: str  # "begin" | "end" | "bind"
-    occ: Occurrence | None = None
-    env: dict | None = None
-    store: dict | None = None
-    dep: DepState | None = None
-    value: object = None
-    pair: DepPair | None = None
-    subject: object = None
-
-
-@dataclass
 class EvalOutcome:
     value: object
     pair: DepPair
@@ -404,27 +408,25 @@ class _Evaluator:
             err.steps = self.steps
             raise
 
-    def notify(self, event: StepEvent):
-        if self.on_step is not None:
-            self.on_step(event)
-
-    def bind(self, subject, point, pair, incoming, threading=True):
+    def bind(self, subject, point, value, pair, incoming, threading=True):
         self.dep.bind(subject, point, pair, incoming, threading)
-        self.notify(StepEvent(kind="bind", subject=subject, pair=pair, dep=self.dep, store=self.store))
+        if self.on_step is not None:
+            self.on_step("bind", subject, point, value, pair, self.dep)
 
     def eval(self, occ: Occurrence, env: dict, incoming):
         self.steps += 1
         if self.steps > self.budget:
             raise EvalBudgetExceeded(self.budget, occ.point)
-        self.notify(StepEvent(kind="begin", occ=occ, env=env, store=self.store, dep=self.dep))
+        on_step = self.on_step
+        if on_step is not None:
+            on_step("begin", occ, env, None, None, self.dep)
         value, pair = self._dispatch(occ, env, incoming)
         if self.tamper is not None:
             swapped = self.tamper(occ, value, pair)
             if swapped is not None:
                 value, pair = swapped
-        self.notify(
-            StepEvent(kind="end", occ=occ, env=env, store=self.store, dep=self.dep, value=value, pair=pair)
-        )
+        if on_step is not None:
+            on_step("end", occ, env, value, pair, self.dep)
         return value, pair
 
     def _dispatch(self, occ: Occurrence, env: dict, incoming):
@@ -450,7 +452,7 @@ class _Evaluator:
             case Let(name, bound, body):
                 bound_value, bound_pair = self.eval(bound, env, incoming)
                 bind_point = bound.point
-                self.bind(name, bind_point, bound_pair, incoming)
+                self.bind(name, bind_point, bound_value, bound_pair, incoming)
                 inner_env = {**env, name: (bound_value, bind_point)}
                 return self.eval(body, inner_env, bind_point)
 
@@ -469,7 +471,7 @@ class _Evaluator:
                     # nothing to tie a knot through; behave like a plain let
                     closure, bound_pair = self.eval(bound, env, incoming)
                 bind_point = bound.point
-                self.bind(name, bind_point, bound_pair, incoming)
+                self.bind(name, bind_point, closure, bound_pair, incoming)
                 inner_env = {**env, name: (closure, bind_point)}
                 return self.eval(body, inner_env, bind_point)
 
@@ -479,7 +481,7 @@ class _Evaluator:
                 if not isinstance(fn_value, Closure):
                     raise NotAFunction(fn_value, p)
                 bind_point = arg.point
-                self.bind(fn_value.param, bind_point, arg_pair, incoming)
+                self.bind(fn_value.param, bind_point, arg_value, arg_pair, incoming)
                 call_env = dict(fn_value.env)
                 if isinstance(fn_value, RecClosure):
                     call_env[fn_value.name] = (fn_value, fn_value.bind_point)
@@ -497,7 +499,7 @@ class _Evaluator:
                 location = self.fresh_location()
                 self.store[location] = init_value
                 self.loc_origin[location] = p
-                self.bind(location, p, init_pair, incoming)
+                self.bind(location, p, init_value, init_pair, incoming)
                 return location, init_pair
 
             case Assign(target, value_occ):
@@ -506,7 +508,7 @@ class _Evaluator:
                 if not isinstance(target_value, Location):
                     raise NotAReference(target_value, p)
                 self.store[target_value] = written_value
-                self.bind(target_value, p, written_pair, incoming, threading=False)
+                self.bind(target_value, p, written_value, written_pair, incoming, threading=False)
                 return (), target_pair
 
             case Deref(ref):
@@ -531,7 +533,7 @@ class _Evaluator:
                     branch_env = env
                     bind_point = scrutinee.point
                     for name, bound_value in bindings.items():
-                        self.bind(name, bind_point, scrut_pair, incoming)
+                        self.bind(name, bind_point, bound_value, scrut_pair, incoming)
                         branch_env = {**branch_env, name: (bound_value, bind_point)}
                     branch_value, branch_pair = self.eval(clause, branch_env, bind_point)
                     return branch_value, branch_pair.union(scrut_pair)

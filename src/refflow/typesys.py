@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .syntax import (
     Abstraction,
@@ -69,14 +70,45 @@ from .semantics import Closure, Location
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IVar:
-    """Internal variable standing for the reference allocated at a point."""
+# point -> its one internal variable; shared by every analysis on purpose,
+# like interned strings: the instances are immutable
+_IVARS: dict = {}
 
-    point: int
+
+class IVar(tuple):
+    """Internal variable standing for the reference allocated at a point.
+
+    There is one instance per point, so equal internal variables are the
+    same object and equality is identity: an internal variable equals no
+    plain tuple.  Underneath it is the one-tuple ``(point,)``, so it hashes
+    with tuple's C-level hash, to the value a ``(point,)`` dataclass gave.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, point: int):
+        ivar = _IVARS.get(point)
+        if ivar is None:
+            ivar = _IVARS[point] = tuple.__new__(cls, (point,))
+        return ivar
+
+    point = property(itemgetter(0))
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other) -> bool:
+        return self is other
+
+    def __ne__(self, other) -> bool:
+        return self is not other
+
+    def __reduce__(self):
+        return (IVar, (self[0],))
+
+    def __repr__(self) -> str:
+        return f"IVar(point={self[0]})"
 
     def __str__(self) -> str:
-        return f"v{self.point}"
+        return f"v{self[0]}"
 
 
 def subject_key(subject):
@@ -528,7 +560,7 @@ class Analysis:
     the way.  Pi is the visit order with its cover edges; the binding
     sites are (name, binding point) pairs in evaluation order; each merge
     (binder, internal variable) says the binder may denote that cell, and
-    the alias base is derived from the merges on first use."""
+    the alias blocks are derived from the merges on first use."""
 
     program: Occurrence
     gamma: TypeEnv
@@ -539,35 +571,48 @@ class Analysis:
     merges: tuple
 
     @cached_property
-    def alias_base(self) -> tuple:
-        """The program's subjects partitioned into alias blocks.
+    def alias_blocks(self) -> dict:
+        """Each subject some merge touches, with its alias block.
 
-        A binder joins the block of every internal variable its bound
-        value may denote; every other subject stays a singleton.  Two
-        names can only share a block by sharing an internal variable, so
-        any block with several members names at least one reference.
-        Blocks come back ordered by their least member.
+        One union-find over the merges, in the style of Steensgaard
+        (path halving): a binder joins the block of every internal
+        variable its bound value may denote.  A subject no merge touches
+        is a block of its own and is not in the map.  Each merge names an
+        internal variable, so every block here names a reference.
         """
 
-        parent = {subject: subject for subject in program_subjects(self.program)}
+        parent: dict = {}
 
         def find(subject):
+            parent.setdefault(subject, subject)
             while parent[subject] != subject:
-                parent[subject] = parent[parent[subject]]  # path halving
+                parent[subject] = parent[parent[subject]]
                 subject = parent[subject]
             return subject
 
         for name, internal in self.merges:
             parent[find(name)] = find(internal)
         blocks: dict = {}
-        # subjects come sorted, so each block is met first at its least member
         for subject in parent:
             blocks.setdefault(find(subject), set()).add(subject)
-        ordered = tuple(frozenset(block) for block in blocks.values())
-        for block in ordered:
-            if len(block) > 1 and not any(isinstance(s, IVar) for s in block):
-                raise AssertionError(f"alias block without a reference: {sorted(block, key=subject_key)}")
-        return ordered
+        return {subject: block for block in map(frozenset, blocks.values()) for subject in block}
+
+    @cached_property
+    def alias_base(self) -> tuple:
+        """The program's subjects partitioned into alias blocks: the
+        merged blocks plus a singleton for every other subject, ordered
+        by their least member."""
+
+        merged = self.alias_blocks
+        blocks: list = []
+        placed: set = set()
+        # subjects come sorted, so each block is met first at its least member
+        for subject in program_subjects(self.program):
+            if subject not in placed:
+                block = merged.get(subject) or frozenset((subject,))
+                placed.update(block)
+                blocks.append(block)
+        return tuple(blocks)
 
 
 class _Checker:

@@ -46,6 +46,23 @@ INDIRECT_FLOW_SRC = (
 )
 
 
+# Untyped recursive programs: recursion revisits binding points, so some
+# bindings find their point already ordered before their sources.
+RECURSIVE_SRCS = (
+    r"(let rec f (λx. (case x [0 -> 0, _ -> (f (- x 1))])) (f 3))",
+    r"(let rec f (λx. (let y (- x 1) (case y [0 -> 0, _ -> (f y)]))) (f 3))",
+    r"(let rec sum (λn. (case n [0 -> 0, m -> (+ m (sum (- m 1)))])) (sum 5))",
+    r"(let rec fact (λn. (case n [0 -> 1, m -> (* m (fact (- m 1)))])) (fact 6))",
+    r"(let rec fib (λn. (case n [0 -> 0, 1 -> 1, m -> (+ (fib (- m 1)) (fib (- m 2)))])) (fib 6))",
+    r"(let rec f (λx. (case x [0 -> 0, m -> (let y m (f (- y 1)))])) (f 3))",
+    r"(let rec f (λx. (case x [0 -> 0, _ -> (let z (f (- x 1)) (+ z x))])) (f 4))",
+    r"(let r (ref 0) (let rec f (λx. (case x [0 -> (! r),"
+    r" m -> (let u (r := (+ (! r) m)) (f (- m 1)))])) (f 4)))",
+    r"(let r (ref 1) (let rec g (λn. (case n [0 -> (! r),"
+    r" m -> (let k (r := (* (! r) m)) (g (- m 1)))])) (g 5)))",
+)
+
+
 def cases_source(n: int) -> str:
     """n sequential two-arm cases over one cell, each arm writing it."""
     rng = random.Random(n)

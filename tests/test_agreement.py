@@ -5,6 +5,7 @@ Tags: [DERIVED] hand-computed oracle, [TRIVIAL] structural sanity.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 
@@ -19,10 +20,10 @@ from refflow.agreement import (
     gen_program,
 )
 from refflow.semantics import DepPair, DepState, Location, evaluate
-from refflow.syntax import free_vars, parse, pretty
+from refflow.syntax import Assign, Let, Ref, Variable, _children, free_vars, parse, pretty
 from refflow.typesys import MUTATIONS, TypeCheckError, typecheck
 
-from conftest import cases_source
+from conftest import RECURSIVE_SRCS, cases_source
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +199,95 @@ def test_reports_on_cases_pinned(n, digest):
     assert hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()[:16] == digest
 
 
+def _points(program, pick) -> frozenset:
+    """The points ``pick`` names for each expression of the program."""
+    out, stack = set(), [program]
+    while stack:
+        occ = stack.pop()
+        out.update(pick(occ.expr))
+        stack.extend(_children(occ.expr))
+    return frozenset(out)
+
+
+def _tampers(program) -> dict:
+    """Run-time lies, each one some clause should notice.  The first three
+    are the tampers of the tests above; the others lie about every write,
+    every written cell and every let-bound natural of the program.  A
+    location only ever replaces a natural, which no rule dereferences or
+    applies, so each run ends in a report."""
+    ghost = DepPair(frozenset(), frozenset({("ghost", 99)}))
+    ghosts = DepPair(
+        frozenset({(Location(3), 5), (Location(1), 8), (Location(0), 7), (Location(1), 2)}),
+        frozenset({("g", 9), ("a", 7)}),
+    )
+    written = _points(program, lambda e: (e.init.point,) if isinstance(e, Ref)
+                      else (e.value.point,) if isinstance(e, Assign) else ())
+    targets = _points(program, lambda e: (e.target.point,) if isinstance(e, Assign) else ())
+    bound = _points(program, lambda e: (e.bound.point,) if isinstance(e, Let) else ())
+
+    def nat(value) -> bool:
+        return type(value) is int
+
+    return {
+        "ghost-variable": lambda occ, v, p: (v, p.union(ghost)) if occ.point == 4 else None,
+        "location-at-3": lambda occ, v, p: (Location(99), p) if occ.point == 3 and nat(v) else None,
+        "ghost-atoms": lambda occ, v, p: (v, p.union(ghosts)) if occ.point == 4 else None,
+        # the store: a location's content is itself a location
+        "location-content": lambda occ, v, p: (Location(7), p) if occ.point in written and nat(v) else None,
+        # the store and its alias check: every write lands in the first cell
+        "first-cell-target": lambda occ, v, p: (
+            (Location(0), p) if occ.point in targets and isinstance(v, Location) else None
+        ),
+        # the environment: a let-bound natural is a location
+        "location-bound": lambda occ, v, p: (Location(7), p) if occ.point in bound and nat(v) else None,
+    }
+
+
+@functools.lru_cache(maxsize=1)
+def _pinned_programs() -> tuple:
+    programs = [gen_program(seed, 1 + seed % 30) for seed in range(1000)]
+    programs += [parse(cases_source(n)) for n in (4, 8, 20)]
+    programs += [parse(src) for src in RECURSIVE_SRCS]
+    return tuple(programs)
+
+
+@pytest.mark.parametrize(
+    "variant, digest",
+    [
+        ("none", "d56c29f662add9aa"),
+        ("tvar-drop-atom", "b45740402ffc77cc"),
+        ("tlet1-drop-kappa", "967d5afcaadda985"),
+        ("tcase-drop-scrutinee", "40e86313285587d9"),
+        ("trefread-drop-delta-prime", "5c6845b6eceb9eb8"),
+        ("ghost-variable", "418ec8c682e2b98a"),
+        ("location-at-3", "3de03cee2e7fec6f"),
+        ("ghost-atoms", "e67d894fd29669e4"),
+        ("location-content", "83589588dd13c220"),
+        ("first-cell-target", "dd598adf7c541636"),
+        ("location-bound", "fd26d2006a5dfc7f"),
+    ],
+)
+def test_reports_pinned(variant, digest):
+    """[DERIVED] The oracle's reports (a rejection recorded as its
+    message) over the 1000 corpus programs, cases(4/8/20) and the untyped
+    recursive programs, unmutated, under each mutation and under each
+    tamper, hash to the digests recorded before the judge checked the
+    store and the environment per binding and read its blocks off the
+    merges."""
+    rows = []
+    for program in _pinned_programs():
+        options: dict = {}
+        if variant in MUTATIONS:
+            options["mutation"] = variant
+        elif variant != "none":
+            options["tamper"] = _tampers(program)[variant]
+        try:
+            rows.append(check_soundness(program, **options).to_dict())
+        except TypeCheckError as err:
+            rows.append(str(err))
+    assert hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()[:16] == digest
+
+
 def test_ip_clause_needs_a_covering_variable(alias_chain):
     """[DERIVED] The ip clause holds on the reference program and on
     cases(8), one check per location; a cell bound at a point its internal
@@ -285,3 +375,100 @@ def test_fail_appends_without_counting():
     assert clause.activity == 0 and clause.witnesses == tuple(f"w{i}" for i in range(5))
     clause.check(True, "unused")
     assert clause.activity == 1 and len(clause.witnesses) == 5
+
+
+# ---------------------------------------------------------------------------
+# The store, the environment and the holders, checked per binding
+# ---------------------------------------------------------------------------
+
+
+def test_tampered_content_fails_the_store_check(alias_chain):
+    """[DERIVED] The write at 8 stores what z@7 evaluated to; made a
+    location, the content fails its typing entry v2@8 at the write's own
+    end event, and the stray location has no covering variable wherever
+    it is a value."""
+    report = check_soundness(
+        alias_chain, tamper=lambda occ, v, p: (Location(5), p) if occ.point == 7 else None
+    )
+    assert report.clauses["type"].witnesses == (
+        "point 8: content of loc0 does not inhabit v2@8",
+        "result value does not inhabit the result type",
+    )
+    assert report.clauses["alias"].witnesses == tuple(
+        f"point {p}: no internal variable in kappa covers all binding points of loc5"
+        for p in (7, 10, 11, 12)
+    )
+
+
+def test_redirected_write_fails_the_store_alias_check():
+    """[DERIVED] The write at 7 meant for b's cell lands in a's (loc0),
+    whose internal variable v2 is typed only at 2: the store check at the
+    write's end event finds no covering variable, and neither does ip."""
+    program = parse(
+        "(let a (ref 1@1)@2 (let b (ref 2@3)@4 (let u ((b@5) := (3@6))@7 (!(a@8))@9)@10)@11)@12"
+    )
+    report = check_soundness(
+        program, tamper=lambda occ, v, p: (Location(0), p) if occ.point == 5 else None
+    )
+    assert report.clauses["alias"].witnesses == (
+        "point 5: no internal variable in kappa covers all binding points of loc0",
+        "point 7: no internal variable covers the binding points of loc0",
+        "point 8: no internal variable in kappa covers all binding points of loc0",
+    )
+    assert report.clauses["ip"].witnesses == (
+        "loc0 interpreted at 7, not among chain-wise interpretations",
+    )
+
+
+def test_bound_location_fails_the_environment_types():
+    """[DERIVED] x bound to a location at 1: the first end events whose
+    environments hold x, and then y, check each binding once, against the
+    types Γ records for it."""
+    program = parse("(let x 1@1 (let y (x@2)@3 (y@4)@5)@6)@7")
+    report = check_soundness(
+        program, tamper=lambda occ, v, p: (Location(0), p) if occ.point == 1 else None
+    )
+    assert report.clauses["type"].witnesses == (
+        "point 2: value of x inhabits none of its recorded types",
+        "point 4: value of y inhabits none of its recorded types",
+        "result value does not inhabit the result type",
+    )
+    assert report.clauses["environment"].activity == 2
+
+
+def test_holders_read_off_the_bindings():
+    """[DERIVED] c is bound at 8 to a's cell (loc0) in place of b's: at
+    the read of c (9) a and c both hold loc0, from two blocks; at the ends
+    of the lets around it (7, 4), where c is out of scope, a alone does."""
+
+    def tamper(occ, value, pair):
+        if isinstance(occ.expr, Variable) and occ.expr.name == "b":
+            return Location(0), pair
+        return None
+
+    report = check_soundness(parse("(let a (ref 1) (let b (ref 2) (let c b (! c))))"), tamper=tamper)
+    assert report.clauses["dependency"].witnesses == (
+        "point 9: holders ['a', 'c'] of loc0@2 not in a delta-represented block",
+        "point 7: holders ['a'] of loc0@2 not in a delta-represented block",
+        "point 4: holders ['a'] of loc0@2 not in a delta-represented block",
+    )
+
+
+def test_environment_clause_checks_each_announced_binding_once():
+    """[DERIVED] Fed events by hand: a binding of a name Γ never types
+    fails the environment clause at the first end event whose environment
+    holds it; the same environment at a later end event checks nothing."""
+    from refflow import agreement
+
+    program = parse("(let x 1@1 x@2)@3")
+    judge = agreement._Judge(typecheck(program), AgreementReport())
+    dep, body = DepState(), program.expr.body
+    env = {"x": (1, 1), "ghost": (5, 1)}
+    judge.on_step("begin", body, env, None, None, dep)
+    judge.on_step("bind", "x", 1, 1, DepPair(), dep)
+    judge.on_step("bind", "ghost", 1, 5, DepPair(), dep)
+    for _ in range(2):
+        judge.on_step("end", body, env, 1, DepPair(frozenset(), frozenset({("x", 2)})), dep)
+    environment = judge.clauses["environment"]
+    assert environment.activity == 2
+    assert environment.witnesses == ("point 2: no typing entry mentions ghost",)

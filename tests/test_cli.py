@@ -177,6 +177,36 @@ def test_budget_exhaustion_exits_three():
     assert code == 3
 
 
+DEEP_PARSE = "(! " * 400 + "r" + ")" * 400
+ENDLESS_RECURSION = r"(let rec f (\x. (f x)) (f 1))"
+
+
+def test_deep_programs_exit_three(capsys):
+    """[DERIVED] A parse 400 derefs deep and an untyped recursion that
+    never ends, well inside the step budget, both exhaust Python's
+    recursion limit: each is inconclusive, exit 3, with one line naming
+    the limit and no traceback."""
+    message = (
+        "inconclusive: RecursionError: the program nests too deeply"
+        f" for the recursion limit of {sys.getrecursionlimit()}\n"
+    )
+    for argv in (["parse", "--expr", DEEP_PARSE], ["eval", "--expr", ENDLESS_RECURSION]):
+        assert main(argv) == 3
+        assert capsys.readouterr().err == message
+
+
+def test_deep_parse_exits_three_in_a_fresh_process():
+    """[DERIVED] The same parse in a fresh interpreter: exit 3 and no
+    traceback on stderr, also at shutdown."""
+    proc = fresh_python(
+        "-m", "refflow.cli", "parse", "--expr", DEEP_PARSE,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 3 and out == ""
+    assert err.startswith("inconclusive: RecursionError:") and "Traceback" not in err
+
+
 def test_input_is_required_and_exclusive():
     """[TRIVIAL] Exactly one of file and --expr."""
     with pytest.raises(SystemExit) as exc:
@@ -352,18 +382,20 @@ DATA = Path(__file__).parent / "data"
     "command, source, recorded",
     [
         ("eval", "countdown.rf", "countdown.eval.json"),
+        ("eval --trace", "countdown.rf", "countdown.trace.json"),
         ("check", "cases8.rf", "cases8.check.json"),
         ("nifc", "cases8.rf", "cases8.nifc.json"),
     ],
 )
 def test_recorded_json_outputs(command, source, recorded):
     """[DERIVED] eval --json on an untyped recursive countdown, which
-    revisits binding points, check --json on cases(8), and nifc --json on
-    cases(8) under its default labeling (tests/data/cases8.labels; the
-    high cell reaches low binders, so nifc exits 1) print the bytes
-    recorded in tests/data; CI compares a fresh process against the same
-    files."""
-    argv = [command, "--json", str(DATA / source)]
+    revisits binding points, the same with --trace (one record per rule,
+    read off the evaluator's end events), check --json on cases(8), and
+    nifc --json on cases(8) under its default labeling
+    (tests/data/cases8.labels; the high cell reaches low binders, so nifc
+    exits 1) print the bytes recorded in tests/data; CI compares a fresh
+    process against the same files."""
+    argv = [*command.split(), "--json", str(DATA / source)]
     if command == "nifc":
         argv += ["--labels", str(DATA / "cases8.labels")]
     code, out = run_cli(argv)

@@ -6,8 +6,10 @@ source material's worked examples, [TRIVIAL] structural sanity.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
+import pickle
 import random
 
 import pytest
@@ -44,6 +46,19 @@ V2 = IVar(2)
 
 def atoms(*pairs):
     return frozenset(pairs)
+
+
+def test_internal_variables_are_one_per_point():
+    """[TRIVIAL] IVar(p) is one object per point that equals only itself,
+    hashes with tuple's own hash (as the (point,) dataclass did), and keeps
+    its point, its text and its repr through copies and pickles."""
+    v5 = IVar(5)
+    assert v5 == IVar(5) and v5 is IVar(5) and {v5: 1}[IVar(5)] == 1
+    assert v5 != IVar(6) and v5 != (5,) and (5,) != v5 and v5 != 5 and v5 != "v5"
+    assert not v5 != IVar(5)
+    assert type(v5).__hash__ is tuple.__hash__ and hash(v5) == hash((5,))
+    assert v5.point == 5 and str(v5) == "v5" and repr(v5) == "IVar(point=5)"
+    assert copy.deepcopy(v5) is v5 and pickle.loads(pickle.dumps(v5)) is v5
 
 
 # ---------------------------------------------------------------------------
