@@ -155,14 +155,6 @@ def _place(where) -> str:
     return f"point {point}: {location}@{current}"
 
 
-def _loc_atom_key(atom) -> tuple:
-    return (atom[0].index, atom[1])
-
-
-def _loc_index(location: Location) -> int:
-    return location.index
-
-
 def _covering_ivars(dep: DepState, gamma: TypeEnv, location: Location, candidates) -> tuple:
     """Internal variables whose typing covers every binding point of the
     location: for each p with (location, p) in dom(w), (vx, p) in dom(Γ)."""
@@ -264,7 +256,7 @@ class _Judge:
         if not uncovered:
             return
         place = _place(where)
-        for location, point in sorted((a for a in pair.locs if a[0] in uncovered), key=_loc_atom_key):
+        for location, point in sorted(a for a in pair.locs if a[0] in uncovered):
             names = uncovered[location]
             if names:
                 clause.fail(
@@ -329,7 +321,7 @@ class _Judge:
 
         written, self._written = self._written, {}
         alias, types = self.clauses["alias"], self.clauses["type"]
-        for location in sorted(written, key=_loc_index):
+        for location in sorted(written):
             current, content = written[location]
             if (location, current) in self._checked_writes:
                 continue
@@ -376,9 +368,7 @@ class _Judge:
         location, or fails when ``ip_sem`` finds no unique top."""
 
         clause = self.clauses["ip"]
-        for location in sorted(
-            (s for s in dep.subjects() if isinstance(s, Location)), key=_loc_index
-        ):
+        for location in sorted(s for s in dep.subjects() if isinstance(s, Location)):
             try:
                 atom = ip_sem(location, dep)
             except EvalError as err:

@@ -105,9 +105,7 @@ _RULE_NAMES = {
 
 
 def _show_pair(pair: DepPair) -> str:
-    locs = ", ".join(
-        f"{loc}@{pt}" for loc, pt in sorted(pair.locs, key=lambda a: (a[0].index, a[1]))
-    )
+    locs = ", ".join(f"{loc}@{pt}" for loc, pt in sorted(pair.locs))
     vars_ = ", ".join(f"{name}@{pt}" for name, pt in sorted(pair.vars))
     return f"({{{locs}}}, {{{vars_}}})"
 

@@ -32,9 +32,8 @@ positional arguments and nothing allocated for it:
   and pair;
 * ``on_step("bind", subject, point, value, pair, dep)`` after ``subject``
   is bound at ``point`` to ``value`` (for a location, the content just
-  written) with the pair ``pair``; every name an environment holds,
-  beyond those of the environment the run started from, was announced
-  this way before the environment is used.
+  written) with the pair ``pair``; every name an environment holds was
+  announced this way before the environment is used.
 
 ``dep`` is the run's ``DepState``.  An event costs one call, and without
 a callback nothing at all.
@@ -72,7 +71,7 @@ from .syntax import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Location:
     index: int
 
@@ -401,9 +400,9 @@ class _Evaluator:
         self.next_location += 1
         return loc
 
-    def run(self, occ: Occurrence, env: dict):
+    def run(self, occ: Occurrence):
         try:
-            return self.eval(occ, env, None)
+            return self.eval(occ, {}, None)
         except EvalError as err:
             err.steps = self.steps
             raise
@@ -457,22 +456,20 @@ class _Evaluator:
                 return self.eval(body, inner_env, bind_point)
 
             case LetRec(name, bound, body):
-                if isinstance(bound.expr, Abstraction):
-                    closure, bound_pair = self.eval(bound, env, incoming)
-                    closure = RecClosure(
-                        param=closure.param,
-                        body=closure.body,
-                        env=closure.env,
-                        lam_point=closure.lam_point,
-                        name=name,
-                        bind_point=bound.point,
-                    )
-                else:
-                    # nothing to tie a knot through; behave like a plain let
-                    closure, bound_pair = self.eval(bound, env, incoming)
+                bound_value, bound_pair = self.eval(bound, env, incoming)
                 bind_point = bound.point
-                self.bind(name, bind_point, closure, bound_pair, incoming)
-                inner_env = {**env, name: (closure, bind_point)}
+                # without an abstraction there is no knot to tie: a plain let
+                if isinstance(bound.expr, Abstraction) and isinstance(bound_value, Closure):
+                    bound_value = RecClosure(
+                        param=bound_value.param,
+                        body=bound_value.body,
+                        env=bound_value.env,
+                        lam_point=bound_value.lam_point,
+                        name=name,
+                        bind_point=bind_point,
+                    )
+                self.bind(name, bind_point, bound_value, bound_pair, incoming)
+                inner_env = {**env, name: (bound_value, bind_point)}
                 return self.eval(body, inner_env, bind_point)
 
             case Application(fn, arg):
@@ -513,7 +510,7 @@ class _Evaluator:
 
             case Deref(ref):
                 ref_value, ref_pair = self.eval(ref, env, incoming)
-                if not isinstance(ref_value, Location):
+                if not isinstance(ref_value, Location) or ref_value not in self.store:
                     raise NotAReference(ref_value, p)
                 content = self.store[ref_value]
                 current = self.dep.ip(ref_value)
@@ -548,13 +545,12 @@ def evaluate(
     budget: int = 1_000_000,
     on_step=None,
     tamper=None,
-    env: dict | None = None,
 ) -> EvalOutcome:
     """Run the program and collect w, the realized order, and the result
-    pair.  ``env`` maps names to (value, bind point) pairs."""
+    pair."""
 
     machine = _Evaluator(budget, on_step, tamper)
-    value, pair = machine.run(program, env or {})
+    value, pair = machine.run(program)
     return EvalOutcome(
         value=value,
         pair=pair,

@@ -42,10 +42,12 @@ introduces a distinct name.  Programs whose binders are already distinct
 come through unchanged.
 
 The reader splits the source with one regular expression and builds the
-final tree in one recursive descent, noting the explicit points and the
-binders as it goes.  Only when some node is unlabeled does one pre-order
-pass over that same tree number it in place; only when some binder
-repeats does a renaming pass build a second tree.
+final tree in one recursive descent, which notes the explicit points,
+claims each binder and resolves each variable against the binders in
+scope as it goes.  Only when some binder name repeats does the descent
+read the same tokens a second time, renaming as it claims; only when
+some node is unlabeled does one pre-order pass over the final tree
+number it in place.
 """
 
 from __future__ import annotations
@@ -274,18 +276,40 @@ _BOOLS = {"true": Constant(True), "false": Constant(False)}
 class _Parser:
     """Recursive descent over the token texts, building the final tree.
 
-    An unlabeled node gets point None until numbering; ``labels`` and
-    ``binders`` collect the explicit points and the binder names in
-    source order, and ``unlabeled`` counts the nodes still unnumbered.
+    An unlabeled node gets point None until numbering; ``labels``
+    collects the explicit points in source order and ``unlabeled`` counts
+    the nodes still unnumbered.  ``scope`` maps each source name to its
+    name in the tree, or to None out of its binders' scope; ``claimed``
+    holds the binder names taken so far, and a variable outside all of
+    its binders goes into ``free``.
+
+    Binders are claimed in pre-order: a parameter before its body, a
+    ``let`` name after its bound, a ``let rec`` name before its bound, a
+    case's variable pattern before its clause.  With ``avoid`` None the
+    descent renames nothing and only notes in ``repeated`` that a binder
+    name was claimed twice.  With ``avoid`` the set of every binder and
+    free name of the program, a repeated binder takes the next ``name_k``
+    (``wild_k`` for ``_``) outside it, from one counter.
     """
 
-    def __init__(self, source: str):
+    def __init__(self, source: str, texts: list, avoid: set | None = None):
         self.source = source
-        self.texts = _tokenize(source)
+        self.texts = texts
         self.pos = 0
         self.labels: list = []
-        self.binders: list = []
         self.unlabeled = 0
+        self.scope: dict = {}
+        self.claimed: set = set()
+        self.free: set = set()
+        self.avoid = avoid
+        self.repeated = False
+        self.counter = 0
+
+    def read(self) -> Occurrence:
+        tree = self.occurrence()
+        if self.texts[self.pos]:
+            self.fail(f"unexpected trailing input {self.texts[self.pos]!r}", self.pos)
+        return tree
 
     def position(self, index: int) -> tuple:
         """(line, column) of the token at ``index``."""
@@ -361,7 +385,12 @@ class _Parser:
                 return _BOOLS[text]
             if text in _KEYWORDS:
                 self.fail(f"keyword {text!r} cannot appear here", index)
-            return Variable(sys.intern(text))
+            text = sys.intern(text)
+            name = self.scope.get(text)
+            if name is None:
+                self.free.add(text)
+                return Variable(text)
+            return Variable(name)
         self.fail(f"unexpected token {text or 'end of input'!r}", index)
 
     def parenthesized(self):
@@ -373,9 +402,11 @@ class _Parser:
             self.pos += 1
             name = self.binder()
             self.expect(".")
+            param, shadowed = self.enter(name)
             body = self.occurrence()
+            self.scope[name] = shadowed
             self.expect(")")
-            return Abstraction(name, body)
+            return Abstraction(param, body)
         if text == "!":
             self.pos += 1
             ref = self.occurrence()
@@ -416,10 +447,15 @@ class _Parser:
         if recursive:
             self.pos += 1
         name = self.binder()
+        if recursive:
+            renamed, shadowed = self.enter(name)
         bound = self.occurrence()
+        if not recursive:
+            renamed, shadowed = self.enter(name)
         body = self.occurrence()
+        self.scope[name] = shadowed
         self.expect(")")
-        return (LetRec if recursive else Let)(name, bound, body)
+        return (LetRec if recursive else Let)(renamed, bound, body)
 
     def case_form(self):
         self.pos += 1
@@ -429,8 +465,6 @@ class _Parser:
         clauses = []
         while True:
             pattern = self.pattern()
-            if type(pattern) is PVar:
-                self.binders.append(pattern.name)
             index = self.pos
             text = self.take()
             if text != "->":
@@ -439,8 +473,15 @@ class _Parser:
                     f"case alternative needs 'pattern -> occurrence', found {text or 'end of input'!r} "
                     f"at line {line}, column {col}"
                 )
+            if type(pattern) is PVar:
+                name = pattern.name
+                renamed, shadowed = self.enter(name)
+                pattern = PVar(renamed)
+                clauses.append(self.occurrence())
+                self.scope[name] = shadowed
+            else:
+                clauses.append(self.occurrence())
             patterns.append(pattern)
-            clauses.append(self.occurrence())
             index = self.pos
             text = self.take()
             if text == "]":
@@ -456,9 +497,28 @@ class _Parser:
         text = self.take()
         if text != "_" and not _is_name(text):
             self.fail(f"expected a name, found {text or 'end of input'!r}", index)
-        text = sys.intern(text)
-        self.binders.append(text)
-        return text
+        return sys.intern(text)
+
+    def enter(self, name: str) -> tuple:
+        """Claim a binder and bring it into scope: its name in the tree,
+        and the scope entry it shadows, which leaving the scope restores."""
+
+        renamed = name
+        if name not in self.claimed:
+            self.claimed.add(name)
+        elif self.avoid is None:
+            self.repeated = True
+        else:
+            # avoid holds every source name, this one too: the loop runs at
+            # least once, and no source binder can claim what it generates
+            base = "wild" if name == "_" else name
+            while renamed in self.avoid:
+                self.counter += 1
+                renamed = f"{base}_{self.counter}"
+            self.avoid.add(renamed)
+        shadowed = self.scope.get(name)
+        self.scope[name] = renamed
+        return renamed, shadowed
 
     def pattern(self) -> Pattern:
         index = self.pos
@@ -481,7 +541,7 @@ class _Parser:
         self.fail(f"expected a pattern, found {text or 'end of input'!r}", index)
 
 # ---------------------------------------------------------------------------
-# Point assignment and binder freshening
+# Traversal and point assignment
 # ---------------------------------------------------------------------------
 
 
@@ -510,41 +570,14 @@ def _children(expr: Expression):
     raise TypeError(f"unknown expression {expr!r}")
 
 
-def _rebuild(expr: Expression, children: tuple) -> Expression:
-    match expr:
-        case Variable() | Constant():
-            return expr
-        case Abstraction(param, _):
-            return Abstraction(param, children[0])
-        case Application(_, _):
-            return Application(children[0], children[1])
-        case FunctionalApplication(op, _, _):
-            return FunctionalApplication(op, children[0], children[1])
-        case Let(name, _, _):
-            return Let(name, children[0], children[1])
-        case LetRec(name, _, _):
-            return LetRec(name, children[0], children[1])
-        case Case(_, patterns, _):
-            return Case(children[0], patterns, tuple(children[1:]))
-        case Ref(_):
-            return Ref(children[0])
-        case Assign(_, _):
-            return Assign(children[0], children[1])
-        case Deref(_):
-            return Deref(children[0])
-        case Group(_):
-            return Group(children[0])
-    raise TypeError(f"unknown expression {expr!r}")
+def _preorder(tree: Occurrence):
+    """Every occurrence of the tree, in pre-order, without recursion."""
 
-
-def _collect_explicit(occ, seen: set):
-    point = occ.point
-    if point is not None:
-        if point in seen:
-            raise DuplicatePointError(point)
-        seen.add(point)
-    for child in _children(occ.expr):
-        _collect_explicit(child, seen)
+    stack = [tree]
+    while stack:
+        occ = stack.pop()
+        yield occ
+        stack.extend(reversed(_children(occ.expr)))
 
 
 def _number_points(tree: Occurrence, taken: set):
@@ -553,82 +586,12 @@ def _number_points(tree: Occurrence, taken: set):
     seen these nodes yet, so nothing can observe the change."""
 
     point = 1
-    stack = [tree]
-    while stack:
-        occ = stack.pop()
+    for occ in _preorder(tree):
         if occ.point is None:
             while point in taken:
                 point += 1
             object.__setattr__(occ, "point", point)
             point += 1
-        stack.extend(reversed(_children(occ.expr)))
-
-
-def _freshen(occ: Occurrence, env: dict, taken: set, avoid: set, counter: list) -> Occurrence:
-    """Rename duplicate binders so every binding occurrence is unique.
-
-    ``taken`` holds binder names accepted so far; a binder keeps its name
-    only while it is still unclaimed.  ``avoid`` holds every identifier
-    appearing anywhere in the program plus every generated name, so no
-    rename can capture or shadow something that already exists.
-    """
-
-    def fresh(name: str) -> str:
-        if name not in taken:
-            taken.add(name)
-            return name
-        while True:
-            counter[0] += 1
-            base = name if name != "_" else "wild"
-            candidate = f"{base}_{counter[0]}"
-            if candidate not in avoid and candidate not in taken:
-                taken.add(candidate)
-                avoid.add(candidate)
-                return candidate
-
-    expr = occ.expr
-    match expr:
-        case Variable(name):
-            return Occurrence(Variable(env.get(name, name)), occ.point)
-        case Constant():
-            return occ
-        case Abstraction(param, body):
-            new = fresh(param)
-            return Occurrence(
-                Abstraction(new, _freshen(body, {**env, param: new}, taken, avoid, counter)), occ.point
-            )
-        case Let(name, bound, body):
-            bound2 = _freshen(bound, env, taken, avoid, counter)
-            new = fresh(name)
-            body2 = _freshen(body, {**env, name: new}, taken, avoid, counter)
-            return Occurrence(Let(new, bound2, body2), occ.point)
-        case LetRec(name, bound, body):
-            new = fresh(name)
-            inner = {**env, name: new}
-            return Occurrence(
-                LetRec(
-                    new,
-                    _freshen(bound, inner, taken, avoid, counter),
-                    _freshen(body, inner, taken, avoid, counter),
-                ),
-                occ.point,
-            )
-        case Case(scrutinee, patterns, clauses):
-            scrut2 = _freshen(scrutinee, env, taken, avoid, counter)
-            pats2 = []
-            clauses2 = []
-            for pat, clause in zip(patterns, clauses):
-                if isinstance(pat, PVar):
-                    new = fresh(pat.name)
-                    pats2.append(PVar(new))
-                    clauses2.append(_freshen(clause, {**env, pat.name: new}, taken, avoid, counter))
-                else:
-                    pats2.append(pat)
-                    clauses2.append(_freshen(clause, env, taken, avoid, counter))
-            return Occurrence(Case(scrut2, tuple(pats2), tuple(clauses2)), occ.point)
-        case _:
-            kids = tuple(_freshen(c, env, taken, avoid, counter) for c in _children(expr))
-            return Occurrence(_rebuild(expr, kids), occ.point)
 
 
 def parse(source: str) -> Occurrence:
@@ -636,25 +599,28 @@ def parse(source: str) -> Occurrence:
 
     Explicit ``@N`` points stay; every other node takes, in pre-order,
     the least id above the previous one that no explicit label claims.
-    The descent builds the tree once and the numbering fills in its
-    points in place, before the tree is returned; a renaming pass
-    rebuilds it only when a binder repeats.
+    One descent builds the tree; only when a binder name repeats does a
+    second descent over the same tokens build it again with the repeats
+    renamed, avoiding every binder and free name of the program.  The
+    numbering then fills in the points of the final tree in place.
     """
 
-    parser = _Parser(source)
-    tree = parser.occurrence()
-    if parser.texts[parser.pos]:
-        parser.fail(f"unexpected trailing input {parser.texts[parser.pos]!r}", parser.pos)
+    parser = _Parser(source, _tokenize(source))
+    tree = parser.read()
+    if parser.repeated:
+        parser = _Parser(source, parser.texts, parser.claimed | parser.free)
+        tree = parser.read()
     taken = set(parser.labels)
     if len(taken) != len(parser.labels):
-        _collect_explicit(tree, set())  # raises, naming the first repeat in pre-order
+        seen: set = set()
+        for occ in _preorder(tree):  # raises, naming the first repeat in pre-order
+            if occ.point is not None:
+                if occ.point in seen:
+                    raise DuplicatePointError(occ.point)
+                seen.add(occ.point)
     if parser.unlabeled:
         _number_points(tree, taken)
-    binders = parser.binders
-    if len(binders) == len(set(binders)):
-        return tree
-    avoid = set(binders) | free_vars(tree)
-    return _freshen(tree, {}, set(), avoid, [0])
+    return tree
 
 
 def _free_in(occ: Occurrence, table: dict) -> frozenset:
@@ -703,27 +669,13 @@ def free_vars(occ: Occurrence) -> frozenset:
 
 
 def all_points(occ: Occurrence) -> frozenset:
-    out: set = set()
-
-    def walk(o):
-        out.add(o.point)
-        for child in _children(o.expr):
-            walk(child)
-
-    walk(occ)
-    return frozenset(out)
+    return frozenset(o.point for o in _preorder(occ))
 
 
 def subterm_at(occ: Occurrence, point: int):
     """The subterm labeled with the given point, or None."""
 
-    if occ.point == point:
-        return occ
-    for child in _children(occ.expr):
-        hit = subterm_at(child, point)
-        if hit is not None:
-            return hit
-    return None
+    return next((o for o in _preorder(occ) if o.point == point), None)
 
 
 def _pretty_pattern(pat: Pattern) -> str:

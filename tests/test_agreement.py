@@ -288,6 +288,19 @@ def test_reports_pinned(variant, digest):
     assert hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()[:16] == digest
 
 
+def test_any_value_tampered_into_a_location_ends_in_a_report():
+    """[DERIVED] A location no ``ref`` allocated, in place of whatever point
+    3 evaluates to (an abstraction a ``let rec`` ties, a cell that is read,
+    a natural), ends every corpus run in a report, never in a Python
+    error."""
+
+    def tamper(occ, value, pair):
+        return (Location(99), pair) if occ.point == 3 else None
+
+    outcomes = {check_soundness(program, tamper=tamper).outcome for program in _pinned_programs()[:1000]}
+    assert "fail" in outcomes
+
+
 def test_ip_clause_needs_a_covering_variable(alias_chain):
     """[DERIVED] The ip clause holds on the reference program and on
     cases(8), one check per location; a cell bound at a point its internal

@@ -385,6 +385,7 @@ DATA = Path(__file__).parent / "data"
         ("eval --trace", "countdown.rf", "countdown.trace.json"),
         ("check", "cases8.rf", "cases8.check.json"),
         ("nifc", "cases8.rf", "cases8.nifc.json"),
+        ("parse", "rebind.rf", "rebind.parse.json"),
     ],
 )
 def test_recorded_json_outputs(command, source, recorded):
@@ -393,8 +394,9 @@ def test_recorded_json_outputs(command, source, recorded):
     read off the evaluator's end events), check --json on cases(8), and
     nifc --json on cases(8) under its default labeling
     (tests/data/cases8.labels; the high cell reaches low binders, so nifc
-    exits 1) print the bytes recorded in tests/data; CI compares a fresh
-    process against the same files."""
+    exits 1), and parse --json on a program that repeats every binder
+    form, shadows names and reads a free x_1, print the bytes recorded in
+    tests/data; CI compares a fresh process against the same files."""
     argv = [*command.split(), "--json", str(DATA / source)]
     if command == "nifc":
         argv += ["--labels", str(DATA / "cases8.labels")]

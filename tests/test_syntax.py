@@ -374,6 +374,65 @@ def test_point_numbering_pinned(monkeypatch):
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16] == "7a5db620774ab8e2"
 
 
+def _renaming_source(rng, depth: int = 0) -> str:
+    """A random source over a small name pool: binders repeat and shadow,
+    ``x_1`` and ``wild_1`` collide with the names renaming generates, ``y``
+    is sometimes bound and sometimes free, ``z`` is always free, and a few
+    nodes carry labels drawn from a range small enough to repeat."""
+
+    def sub() -> str:
+        return _renaming_source(rng, depth + 1)
+
+    def binder() -> str:
+        return rng.choice(("x", "x", "x_1", "wild_1", "_", "y", "f"))
+
+    def pattern(nested: int = 0) -> str:
+        kind = rng.randrange(5 if nested < 2 else 4)
+        if kind == 4:
+            return "(" + ", ".join(pattern(nested + 1) for _ in range(rng.randint(2, 3))) + ")"
+        return (rng.choice(("x", "x_1", "y", "z")), "_", str(rng.randint(0, 2)), "true")[kind]
+
+    label = f"@{rng.randint(1, 40)}" if rng.random() < 0.08 else ""
+    if depth >= 5 or depth and rng.random() < 0.25:
+        return rng.choice(("x", "x", "x_1", "wild_1", "y", "z", "f", "3", "()")) + label
+    form = rng.randrange(8)
+    if form == 0:
+        text = f"(λ{binder()}. {sub()})"
+    elif form == 1:
+        text = f"(let {binder()} {sub()} {sub()})"
+    elif form == 2:
+        text = f"(let rec {binder()} (λ{binder()}. {sub()}) {sub()})"
+    elif form == 3:
+        alts = ", ".join(f"{pattern()} -> {sub()}" for _ in range(rng.randint(1, 3)))
+        text = f"(case {sub()} [{alts}])"
+    elif form == 4:
+        text = f"({sub()} {sub()})"
+    elif form == 5:
+        text = f"(+ {sub()} {sub()})"
+    elif form == 6:
+        text = rng.choice((f"(ref {sub()})", f"(! {sub()})", f"({sub()} := {sub()})"))
+    else:
+        text = f"({sub()})"
+    return text + label
+
+
+def test_renaming_pinned():
+    """[DERIVED] The labeled rendering, or the error's type and message, of
+    3000 seeded random sources that repeat and shadow binders of every
+    form, read names the renaming could generate, read free names and
+    repeat labels, hashes to a pinned digest."""
+    import random
+
+    rng = random.Random(20261018)
+    rows = []
+    for _ in range(3000):
+        try:
+            rows.append(pretty(parse(_renaming_source(rng))))
+        except SyntaxModuleError as err:
+            rows.append(f"{type(err).__name__}: {err}")
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16] == "58140ccb7c9f23cf"
+
+
 @pytest.mark.parametrize("source, error, message", PINNED_ERRORS)
 def test_pinned_errors(source, error, message):
     """[DERIVED] Each broken input raises exactly this error and message."""
