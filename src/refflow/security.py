@@ -198,15 +198,6 @@ def _origins_of(ty: Type) -> frozenset:
     return frozenset()
 
 
-def _at_or_before(pi: Pi, binding: int):
-    """A test of whether a point is at or before ``binding`` in Pi: one
-    read of the binding's ancestor bitset, then one bit test per point."""
-
-    index, anc = pi.reach
-    bits = anc.get(binding, 0)
-    return lambda point: point == binding or point in index and bits >> index[point] & 1 == 1
-
-
 def _ivar_atoms(atoms) -> list:
     return [atom for atom in atoms if isinstance(atom[0], IVar)]
 
@@ -217,25 +208,30 @@ def expanded_origins(ty: Type, gamma: TypeEnv, pi: Pi, binding: int) -> frozense
 
     Only internal-variable atoms are expanded, each once, and each
     entry's atoms join by set difference, so the closure costs one step
-    per atom it reaches."""
+    per atom it reaches; when no entry adds an atom, the origin set
+    itself comes back, uncopied."""
 
     origins = _origins_of(ty)
     frontier = _ivar_atoms(origins)
     if not frontier:
         return origins
-    at_or_before = _at_or_before(pi, binding)
+    index, anc = pi.reach
+    bits = anc.get(binding, 0)
     entries = gamma.entries
-    seen = set(origins)
+    seen = None  # the closure, once some entry adds to the origins
     while frontier:
         atom = frontier.pop()
         entry = entries.get(atom)
-        if entry is None or not at_or_before(atom[1]):
+        point = atom[1]
+        if entry is None or point != binding and not (point in index and bits >> index[point] & 1):
             continue
-        new = _origins_of(entry) - seen
+        new = _origins_of(entry) - (origins if seen is None else seen)
         if new:
+            if seen is None:
+                seen = set(origins)
             seen |= new
             frontier += _ivar_atoms(new)
-    return frozenset(seen)
+    return origins if seen is None else frozenset(seen)
 
 
 def check_noninterference(program: Occurrence, labeling: dict) -> NoninterferenceVerdict:
@@ -257,15 +253,16 @@ def check_noninterference(program: Occurrence, labeling: dict) -> Noninterferenc
         binder, binding = site
         if level_of(labeling, binder) != LOW:
             continue
-        sources = [
-            atom
-            for atom in expanded_origins(type_of[binding], gamma, pi, binding)
-            if not isinstance(atom[0], IVar) and atom[0] in high
-        ]
+        # an internal variable equals no name, so it is never high
+        sources = [atom for atom in expanded_origins(type_of[binding], gamma, pi, binding) if atom[0] in high]
         if sources:
-            at_or_before = _at_or_before(pi, binding)
+            index, anc = pi.reach
+            bits = anc.get(binding, 0)
             # the first four fields tell flows apart, so the sort never compares the rest
-            keys += [(binding, atom[1], atom[0], binder, atom, site, at_or_before(atom[1])) for atom in sources]
+            keys += [
+                (binding, pt, atom[0], binder, atom, site, pt == binding or pt in index and bits >> index[pt] & 1 == 1)
+                for atom in sources for pt in (atom[1],)
+            ]
     if not keys:
         return NoninterferenceVerdict()
     keys.sort()

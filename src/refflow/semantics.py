@@ -42,6 +42,7 @@ a callback nothing at all.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .syntax import (
     Abstraction,
@@ -71,12 +72,49 @@ from .syntax import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class Location:
-    index: int
+class Interned(tuple):
+    """A value that is one object per key, like an interned string.
+
+    Underneath it is the one-tuple ``(key,)``, so it hashes with tuple's
+    C-level hash, to the value a frozen one-field dataclass gave, and
+    orders by its key.  Equality is identity: it equals no plain tuple.
+    Each subclass keeps its own ``_instances`` table, key -> instance;
+    the instances are immutable, so every analysis shares them.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, key):
+        found = cls._instances.get(key)
+        if found is None:
+            found = cls._instances[key] = tuple.__new__(cls, (key,))
+        return found
+
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other) -> bool:
+        return self is other
+
+    def __ne__(self, other) -> bool:
+        return self is not other
+
+    def __reduce__(self):
+        return (type(self), (self[0],))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._field}={self[0]})"
+
+
+class Location(Interned):
+    """A store location, one object per index."""
+
+    __slots__ = ()
+    _instances: dict = {}
+    _field = "index"
+    index = property(itemgetter(0))
 
     def __str__(self) -> str:
-        return f"loc{self.index}"
+        return f"loc{self[0]}"
 
 
 @dataclass(eq=False)

@@ -21,12 +21,12 @@ The same walk records the flow facts the rest of the static half reads,
 so each program is walked once: the approximated order Pi (every point
 visited after its children, one cover edge per consecutive visit, case
 arms and the bodies behind a several-origin application forking from
-one point and joining at their parent), the binding sites, and the
-alias merges, one (binder, internal variable) pair per cell a binder's
-value may denote.  The merges are unified into the alias base here too,
-in the style of Steensgaard's points-to analysis (POPL 1996): every
-subject of the program starts in its own block and each merge joins two
-blocks.
+one point and joining at their parent), kept as the predecessor sets
+the walk fills, with its edges and points as views; the binding sites;
+and the alias merges, one (binder, internal variable) pair per cell a
+binder's value may denote, unified into the alias base in the style of
+Steensgaard's points-to analysis (POPL 1996): every subject starts in
+its own block and each merge joins two blocks.
 
 The module also owns the order's queries: Pi's maximal chains and the
 chain-wise interpretation of a subject's binding points.  Pi's visit
@@ -62,7 +62,7 @@ from .syntax import (
     Variable,
     _children,
 )
-from .semantics import Closure, Location
+from .semantics import Closure, Interned, Location
 
 
 # ---------------------------------------------------------------------------
@@ -70,42 +70,13 @@ from .semantics import Closure, Location
 # ---------------------------------------------------------------------------
 
 
-# point -> its one internal variable; shared by every analysis on purpose,
-# like interned strings: the instances are immutable
-_IVARS: dict = {}
-
-
-class IVar(tuple):
-    """Internal variable standing for the reference allocated at a point.
-
-    There is one instance per point, so equal internal variables are the
-    same object and equality is identity: an internal variable equals no
-    plain tuple.  Underneath it is the one-tuple ``(point,)``, so it hashes
-    with tuple's C-level hash, to the value a ``(point,)`` dataclass gave.
-    """
+class IVar(Interned):
+    """Internal variable standing for the reference allocated at a point."""
 
     __slots__ = ()
-
-    def __new__(cls, point: int):
-        ivar = _IVARS.get(point)
-        if ivar is None:
-            ivar = _IVARS[point] = tuple.__new__(cls, (point,))
-        return ivar
-
+    _instances: dict = {}
+    _field = "point"
     point = property(itemgetter(0))
-    __hash__ = tuple.__hash__
-
-    def __eq__(self, other) -> bool:
-        return self is other
-
-    def __ne__(self, other) -> bool:
-        return self is not other
-
-    def __reduce__(self):
-        return (IVar, (self[0],))
-
-    def __repr__(self) -> str:
-        return f"IVar(point={self[0]})"
 
     def __str__(self) -> str:
         return f"v{self[0]}"
@@ -142,6 +113,10 @@ class Base(Type):
         deltas = ", ".join(show_atom(a) for a in sorted(self.delta, key=atom_key))
         kappas = ", ".join(str(s) for s in sorted(self.kappa, key=subject_key))
         return f"({{{deltas}}}, {{{kappas}}})"
+
+
+# the type of every constant; immutable, so one instance serves them all
+_NO_ORIGINS = Base()
 
 
 @dataclass(frozen=True)
@@ -283,7 +258,8 @@ class TypeEnv:
 
     Keys are atomic occurrences (subject, point); ``latest`` tracks the
     point each subject was most recently bound at along the walk, and
-    ``_points`` every point each subject was bound at.
+    ``_points`` the set of every point each subject was bound at, grown
+    in place; ``bound_points`` hands out a frozen copy.
     """
 
     def __init__(self):
@@ -297,7 +273,7 @@ class TypeEnv:
             self.entries[key] = type_union(self.entries[key], ty, point)
         else:
             self.entries[key] = ty
-            self._points[subject] = self._points.get(subject, frozenset()) | {point}
+            self._points.setdefault(subject, set()).add(point)
         self.latest[subject] = point
 
     def current(self, subject) -> Type | None:
@@ -310,7 +286,7 @@ class TypeEnv:
         return self.entries.get((subject, point))
 
     def bound_points(self, subject) -> frozenset:
-        return self._points.get(subject, frozenset())
+        return frozenset(self._points.get(subject, ()))
 
     def subjects(self) -> frozenset:
         return frozenset(self._points)
@@ -326,21 +302,32 @@ class Pi:
 
     ``visit`` lists the points in the order the checking walk reached them,
     and every edge runs forward along it, so ``visit`` is a topological
-    order.  On first use one pass over it builds ``reach``: ``index``
+    order.  Pi holds the predecessor sets the walk filled (``pred``:
+    point to the points with an edge into it), or builds them from
+    ``edges``; ``edges`` and ``points`` are views built on first use.
+    On first use one pass over ``visit`` builds ``reach``: ``index``
     (point to position in ``visit``) and ``anc`` (point to the Python-int
     bitset of its strict ancestors, bit ``index[a]`` set when ``a``
     precedes it); an edge running against the visit order raises
     ValueError.  Points outside ``visit`` are unordered.
     """
 
-    def __init__(self, visit: tuple, edges: frozenset):
+    def __init__(self, visit: tuple, edges=(), pred: dict | None = None):
         self.visit = visit
-        self.edges = edges
         self.final = visit[-1] if visit else None
-        self.points = frozenset(visit)
-        self._pred: dict = {}
-        for a, b in edges:
-            self._pred.setdefault(b, set()).add(a)
+        if pred is None:
+            pred = {}
+            for a, b in edges:
+                pred.setdefault(b, set()).add(a)
+        self._pred = pred
+
+    @cached_property
+    def edges(self) -> frozenset:
+        return frozenset((a, b) for b, preds in self._pred.items() for a in preds)
+
+    @cached_property
+    def points(self) -> frozenset:
+        return frozenset(self.visit)
 
     @cached_property
     def reach(self) -> tuple:
@@ -480,35 +467,54 @@ def linear_use_check(program: Occurrence) -> tuple:
     of abstractions that flow through parameters are caught during the
     checking walk instead.  Returns the violations in program order.
 
-    One pre-order walk carries the names bound to an abstraction and the
-    names whose uses count, each with the use list of its binding; a let
-    rec's own bound counts its uses, a let's does not.  Binders are
-    globally unique after parsing, so no binding shadows another.
+    One pre-order loop keeps the names bound to an abstraction and the
+    names whose uses count, each with the use list of its binding; only
+    a let-bound abstraction changes them.  A let rec's own bound counts
+    its uses, a let's does not: a marker between bound and body starts
+    the count.  A marker after the body puts back what the name held, so
+    each node sees what a per-path scope would, also under shadowing.
     """
 
     found: list = []  # violations in pre-order; a use list stands for its binding's
-    stack = [(program, frozenset(), {})]
+    fun_names: set = set()
+    counted: dict = {}
+    stack: list = [program]
+    pop = stack.pop
     while stack:
-        occ, fun_names, counted = stack.pop()
+        occ = pop()
+        if type(occ) is tuple:
+            # a marker (name, use list or None, whether it stays a function name)
+            name, uses, keep = occ
+            if uses is None:
+                del counted[name]
+            else:
+                counted[name] = uses
+            if not keep:
+                fun_names.discard(name)
+            continue
         expr = occ.expr
-        if isinstance(expr, Variable):
+        kind = type(expr)  # no expression class has subclasses
+        if kind is Variable:
             uses = counted.get(expr.name)
             if uses is not None:
                 uses.append(occ.point)
             continue
-        if isinstance(expr, (Let, LetRec)) and isinstance(_ungrouped(expr.bound).expr, Abstraction):
-            uses = []
+        if (kind is Let or kind is LetRec) and type(_ungrouped(expr.bound).expr) is Abstraction:
+            name, uses = expr.name, []
             found.append(uses)
-            fun_names = fun_names | {expr.name}
-            in_scope = {**counted, expr.name: uses}
-            stack.append((expr.body, fun_names, in_scope))
-            stack.append((expr.bound, fun_names, in_scope if isinstance(expr, LetRec) else counted))
+            stack += ((name, counted.get(name), name in fun_names), expr.body)
+            fun_names.add(name)
+            if kind is LetRec:
+                counted[name] = uses
+            else:
+                stack.append((name, uses, True))
+            stack.append(expr.bound)
             continue
-        if isinstance(expr, Ref):
+        if kind is Ref:
             init = _ungrouped(expr.init).expr
             if isinstance(init, Abstraction) or isinstance(init, Variable) and init.name in fun_names:
                 found.append(AbstractionInRef(occ.point))
-        stack.extend((child, fun_names, counted) for child in reversed(_children(expr)))
+        stack += _children(expr)[::-1]
     return tuple(
         LinearityViolation(item) if isinstance(item, list) else item
         for item in found
@@ -635,7 +641,7 @@ class _Checker:
         self.claims: dict = {}
         self.active: set = set()
         self.visit: list = []
-        self.edges: set = set()
+        self.pred: dict = {}  # point -> the points with an edge into it
         self.last: int | None = None
         self.sites: list = []
         self.merges: list = []
@@ -650,7 +656,7 @@ class _Checker:
             gamma=self.gamma,
             type_of=self.type_of,
             result_type=result,
-            pi=Pi(tuple(self.visit), frozenset(self.edges)),
+            pi=Pi(tuple(self.visit), pred=self.pred),
             binding_sites=tuple(self.sites),
             merges=tuple(self.merges),
         )
@@ -660,7 +666,7 @@ class _Checker:
         p = occ.point
         self.type_of[p] = ty
         if self.last is not None:
-            self.edges.add((self.last, p))
+            self.pred.setdefault(p, set()).add(self.last)
         self.visit.append(p)
         self.last = p
         return ty
@@ -675,7 +681,7 @@ class _Checker:
         if isinstance(ty, Arrow):
             return ty
         if not ty.kappa:
-            return Base(ty.delta, frozenset())
+            return ty
         self.merges.extend((name, internal) for internal in kappa_ivars(ty))
         return Base(ty.delta, ty.kappa | {name})
 
@@ -684,7 +690,7 @@ class _Checker:
         p = occ.point
         match expr:
             case Constant(_):
-                return Base()
+                return _NO_ORIGINS
 
             case Variable(name):
                 ty = scope.get(name)
@@ -733,7 +739,8 @@ class _Checker:
                 arg_ty = self.check(arg, scope)
                 origins = sorted(fn_ty.origins)
                 forked = len(origins) > 1
-                snapshot = dict(self.gamma.latest)
+                # every branch binds into its own copy, so the fork's state needs none
+                snapshot = self.gamma.latest
                 branch_latests: list = []
                 result: Type | None = None
                 for lam_point in origins:
@@ -756,9 +763,9 @@ class _Checker:
                         body_ty = self.check(lam.expr.body, body_scope)
                     finally:
                         self.active.discard(lam_point)
-                    self.edges.add((lam.expr.body.point, p))
+                    self.pred.setdefault(p, set()).add(lam.expr.body.point)
                     result = body_ty if result is None else type_union(result, body_ty, p)
-                    branch_latests.append(dict(self.gamma.latest))
+                    branch_latests.append(self.gamma.latest)
                 if forked:
                     self._merge_branches(snapshot, branch_latests, p)
                 return push_atoms(result, fn_ty.pending)
@@ -800,17 +807,15 @@ class _Checker:
                     isinstance(s, IVar) for s in ref_ty.kappa
                 ):
                     raise NonReferenceDeref(p)
-                delta = set(ref_ty.delta)
+                delta = ref_ty.delta
                 for internal in kappa_ivars(ref_ty):
-                    stored = self.gamma.current(internal)
-                    delta |= stored.delta
-                    if self.mutation != "trefread-drop-delta-prime":
-                        delta.add((internal, p))
-                return Base(frozenset(delta), frozenset())
+                    read = () if self.mutation == "trefread-drop-delta-prime" else ((internal, p),)
+                    delta = delta.union(self.gamma.current(internal).delta, read)
+                return Base(delta, frozenset())
 
             case Case(scrutinee, patterns, clauses):
                 scrut_ty = self.check(scrutinee, scope)
-                snapshot = dict(self.gamma.latest)
+                snapshot = self.gamma.latest
                 branch_latests = []
                 result: Type | None = None
                 for pattern, clause in zip(patterns, clauses):
@@ -830,9 +835,9 @@ class _Checker:
                             raise UnsupportedPattern(p)
                     self.last = scrutinee.point
                     branch_ty = self.check(clause, branch_scope)
-                    self.edges.add((clause.point, p))
+                    self.pred.setdefault(p, set()).add(clause.point)
                     result = branch_ty if result is None else type_union(result, branch_ty, p)
-                    branch_latests.append(dict(self.gamma.latest))
+                    branch_latests.append(self.gamma.latest)
                 self._merge_branches(snapshot, branch_latests, p)
                 if self.mutation == "tcase-drop-scrutinee":
                     return result

@@ -6,8 +6,10 @@ source material's worked examples, [TRIVIAL] structural sanity.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,22 @@ from refflow.syntax import PBool, PNat, PTuple, PVar, PWildcard, parse
 from conftest import RECURSIVE_SRCS, cases_source
 
 LOC0 = Location(0)
+
+
+def test_locations_are_one_per_index():
+    """[TRIVIAL] Location(i) is one object per index that equals only
+    itself, hashes with tuple's own hash (as the (index,) dataclass did),
+    orders by its index, and keeps its index, its text and its repr
+    through copies and pickles."""
+    loc3 = Location(3)
+    assert loc3 is Location(3) and {loc3: 1}[Location(3)] == 1
+    assert loc3 != Location(4) and loc3 != (3,) and (3,) != loc3 and loc3 != 3 and loc3 != "loc3"
+    assert not loc3 != Location(3)
+    assert type(loc3).__hash__ is tuple.__hash__ and hash(loc3) == hash((3,))
+    assert Location(2) < loc3 < Location(10) and loc3 <= Location(3) and not loc3 > Location(3)
+    assert sorted([Location(10), loc3, Location(2)]) == [Location(2), loc3, Location(10)]
+    assert loc3.index == 3 and str(loc3) == "loc3" and repr(loc3) == "Location(index=3)"
+    assert copy.deepcopy(loc3) is loc3 and pickle.loads(pickle.dumps(loc3)) is loc3
 
 
 # ---------------------------------------------------------------------------

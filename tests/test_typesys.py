@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import itertools
 import json
 import pickle
 import random
@@ -18,7 +19,22 @@ from hypothesis import strategies as st
 
 from refflow.agreement import gen_program
 from refflow.semantics import Location
-from refflow.syntax import parse
+from refflow.syntax import (
+    Abstraction,
+    Application,
+    Case,
+    Constant,
+    Deref,
+    Group,
+    Let,
+    LetRec,
+    Occurrence,
+    PNat,
+    PVar,
+    Ref,
+    Variable,
+    parse,
+)
 from refflow.typesys import (
     AbstractionInRef,
     Arrow,
@@ -39,7 +55,8 @@ from refflow.typesys import (
     typecheck,
 )
 
-from conftest import ALIAS_CHAIN_SRC
+from conftest import ALIAS_CHAIN_SRC, cases_source
+from reference import linear_use_check as reference_linear_use_check
 
 V2 = IVar(2)
 
@@ -314,6 +331,33 @@ def test_order_matches_dfs_on_generated_programs(seed, size):
     assert_order_matches_dfs(typecheck(gen_program(seed, size)).pi)
 
 
+def test_pi_from_the_walk_equals_pi_from_its_edges():
+    """[DERIVED] On the 1000 corpus programs and cases(4/8/20), the Pi
+    the walk builds from its predecessor sets and the Pi rebuilt from
+    its visit and edges agree in reach, final point, points and every
+    point's predecessors."""
+    programs = [gen_program(seed, 1 + seed % 30) for seed in range(1000)]
+    programs += [parse(cases_source(n)) for n in (4, 8, 20)]
+    for program in programs:
+        pi = typecheck(program).pi
+        rebuilt = Pi(pi.visit, pi.edges)
+        assert rebuilt.reach == pi.reach
+        assert (rebuilt.final, rebuilt.points) == (pi.final, pi.points)
+        assert all(rebuilt.predecessors(p) == pi.predecessors(p) for p in pi.visit)
+
+
+def test_bound_points_is_a_snapshot():
+    """[TRIVIAL] The frozenset bound_points returns keeps its points when
+    Γ later binds the same subject at a new point."""
+    gamma = TypeEnv()
+    gamma.bind(V2, 2, Base())
+    before = gamma.bound_points(V2)
+    gamma.bind(V2, 8, Base())
+    gamma.bind(V2, 2, Base(atoms(("z", 7))))
+    assert isinstance(before, frozenset) and before == frozenset({2})
+    assert gamma.bound_points(V2) == frozenset({2, 8})
+
+
 def test_backward_edge_raises():
     """[TRIVIAL] An edge against the visit order, or ending outside it,
     is refused at first use; points outside the visit stay unordered."""
@@ -430,6 +474,91 @@ def test_linear_use_check_pinned():
     assert sum(len(row) > 1 for row in untyped) == 75
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
     assert digest == "4450bcb7d991fb18"
+
+
+def _shadowing_tree(rng: random.Random, depth: int) -> Occurrence:
+    """A hand-built tree over the names f, g and x, which parse would
+    have renamed apart: binders of every form shadow each other, let and
+    let rec bind the same names to abstractions (some behind a group)
+    and to other values, and ref wraps names and abstractions."""
+    points = itertools.count(1)
+
+    def node(expr) -> Occurrence:
+        return Occurrence(expr, next(points))
+
+    def lam(d: int) -> Occurrence:
+        inner = node(Abstraction(rng.choice("fgx"), tree(d - 1)))
+        return node(Group(inner)) if rng.random() < 0.2 else inner
+
+    def tree(d: int) -> Occurrence:
+        name = rng.choice("fgx")
+        if d <= 0 or rng.random() < 0.15:
+            return node(Variable(name) if rng.random() < 0.8 else Constant(1))
+        kind = rng.choice(("let", "let", "rec", "abs", "app", "ref", "ref", "case", "deref"))
+        if kind in ("let", "rec"):
+            bound = lam(d) if rng.random() < 0.6 else tree(d - 1)
+            return node((Let if kind == "let" else LetRec)(name, bound, tree(d - 1)))
+        if kind == "abs":
+            return node(Abstraction(name, tree(d - 1)))
+        if kind == "app":
+            return node(Application(tree(d - 1), tree(d - 1)))
+        if kind == "ref":
+            init = rng.choice(("name", "grouped", "lam", "tree"))
+            if init in ("name", "grouped"):
+                init_occ = node(Variable(name))
+                return node(Ref(node(Group(init_occ)) if init == "grouped" else init_occ))
+            return node(Ref(lam(d) if init == "lam" else tree(d - 1)))
+        if kind == "case":
+            return node(Case(tree(d - 1), (PNat(0), PVar(name)), (tree(d - 1), tree(d - 1))))
+        return node(Deref(tree(d - 1)))
+
+    return tree(depth)
+
+
+def _shadowing_hand_trees() -> list:
+    """A plain let that shadows a function name, whose uses still count
+    for the function; a let rec whose own bound uses its name; and a ref
+    of a name that a plain let rebound inside a let of an abstraction."""
+    points = itertools.count(1)
+
+    def n(expr) -> Occurrence:
+        return Occurrence(expr, next(points))
+
+    def ident() -> Occurrence:
+        return n(Abstraction("x", n(Variable("x"))))
+
+    def use(fn: str, arg: Occurrence) -> Occurrence:
+        return n(Application(n(Variable(fn)), arg))
+
+    return [
+        n(Let("f", ident(), n(Let("f", n(Constant(1)), use("f", n(Variable("f"))))))),
+        n(LetRec("f", n(Abstraction("x", use("f", n(Variable("x"))))), use("f", n(Constant(1))))),
+        n(Let("f", ident(), n(Let("f", n(Constant(1)), n(Ref(n(Variable("f")))))))),
+    ]
+
+
+def test_linear_use_check_matches_reference_on_shadowing_trees():
+    """[DERIVED] On 3000 seeded hand-built trees whose binders shadow
+    each other, and on three hand-built trees, the one-loop check reports
+    the same violations, in order, as the per-path reference in
+    tests/reference.py."""
+
+    def rows(violations):
+        return [(type(v).__name__, str(v), getattr(v, "points", (v.point,))) for v in violations]
+
+    rng = random.Random(12)
+    trees = [_shadowing_tree(rng, rng.randint(2, 7)) for _ in range(3000)]
+    trees += _shadowing_hand_trees()
+    flagged = several = 0
+    for tree in trees:
+        expected = rows(reference_linear_use_check(tree))
+        assert rows(linear_use_check(tree)) == expected, tree
+        flagged += bool(expected)
+        several += len(expected) > 1
+    assert [[type(v) for v in linear_use_check(tree)] for tree in trees[-3:]] == [
+        [LinearityViolation], [LinearityViolation], [AbstractionInRef]
+    ]
+    assert flagged > 500 and several > 100, (flagged, several)
 
 
 # ---------------------------------------------------------------------------
