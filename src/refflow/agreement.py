@@ -31,7 +31,8 @@ point) pair, which is checked once, at the first end event whose
 environment holds it, and a location's holders are read off the pairs
 bound to it, so no environment is scanned whole.  The store is checked
 per write, at the first end event after it.  The realized order costs
-one bit test per edge against Pi's ancestor bitsets, once the run ends.
+one mask per bound point against Pi's ancestor bitsets, once the run
+ends, since the run numbers its points by Pi's index.
 Alias blocks are read off the checking walk's merges; a subject no
 merge touches is its own block.
 """
@@ -57,7 +58,6 @@ from .typesys import (
     Base,
     IVar,
     Type,
-    TypeEnv,
     show_atom,
     subject_key,
     type_value,
@@ -155,20 +155,6 @@ def _place(where) -> str:
     return f"point {point}: {location}@{current}"
 
 
-def _covering_ivars(dep: DepState, gamma: TypeEnv, location: Location, candidates) -> tuple:
-    """Internal variables whose typing covers every binding point of the
-    location: for each p with (location, p) in dom(w), (vx, p) in dom(Γ)."""
-
-    wpoints = dep.bound_points(location)
-    return tuple(internal for internal in candidates if wpoints <= gamma.bound_points(internal))
-
-
-def _gamma_ivars(gamma: TypeEnv) -> tuple:
-    return tuple(
-        sorted((s for s in gamma.subjects() if isinstance(s, IVar)), key=subject_key)
-    )
-
-
 # ---------------------------------------------------------------------------
 # The step-by-step judge
 # ---------------------------------------------------------------------------
@@ -190,7 +176,7 @@ class _Judge:
         self.report = report
         self.clauses = report.clauses
         # per-program indices, built once: Γ is complete before the run starts
-        self.ivars = _gamma_ivars(self.gamma)
+        self.ivars = tuple(sorted((s for s in self.gamma.subjects() if isinstance(s, IVar)), key=subject_key))
         self.blocks = dict(analysis.alias_blocks)  # singletons join on first use
         self.fv_table = free_name_table(analysis.program)
         self.stack: list = []
@@ -201,6 +187,7 @@ class _Judge:
         self._checked: set = set()
         self._written: dict = {}  # location -> (point, content) of its latest unchecked write
         self._checked_writes: set = set()
+        self._typed: tuple = (None, {})  # a DepState, and in its numbering Γ's points per ivar
 
     # -- caches -----------------------------------------------------------------
 
@@ -217,6 +204,20 @@ class _Judge:
         if found is None:
             found = self.blocks[subject] = frozenset((subject,))
         return found
+
+    def covering(self, dep: DepState, location: Location, candidates) -> tuple:
+        """Internal variables whose typing covers every binding point of the
+        location: for each p with (location, p) in dom(w), (vx, p) in dom(Γ).
+        One mask per candidate; distinct points have distinct bits, so the
+        sum of a variable's Γ point bits is their OR."""
+
+        if self._typed[0] is not dep:
+            self._typed = (dep, {})
+        typed, bound = self._typed[1], dep.bound_bits(location)
+        for internal in candidates:
+            if internal not in typed:
+                typed[internal] = sum(map(dep.bit, self.gamma.bound_points(internal)))
+        return tuple(internal for internal in candidates if not bound & ~typed[internal])
 
     def locations(self, locs: frozenset) -> tuple:
         found = self._locations.get(locs)
@@ -270,7 +271,7 @@ class _Judge:
     def alias_agree(self, dep: DepState, location: Location, kappa: frozenset, where):
         clause = self.clauses["alias"]
         kappa_internals = sorted((s for s in kappa if isinstance(s, IVar)), key=subject_key)
-        covering = _covering_ivars(dep, self.gamma, location, kappa_internals)
+        covering = self.covering(dep, location, kappa_internals)
         clause.activity += 1
         if not covering:
             clause.fail(f"{_place(where)}: no internal variable in kappa covers all binding points of {location}")
@@ -326,7 +327,7 @@ class _Judge:
             if (location, current) in self._checked_writes:
                 continue
             self._checked_writes.add((location, current))
-            covering = _covering_ivars(dep, self.gamma, location, self.ivars)
+            covering = self.covering(dep, location, self.ivars)
             alias.activity += 1
             if not covering:
                 alias.fail(f"point {point}: no internal variable covers the binding points of {location}")
@@ -347,15 +348,20 @@ class _Judge:
             self.type_agree(content, dep, written_pair, stored_ty, (point, location, current))
 
     def check_order(self, dep: DepState):
-        """Each realized edge is one bit test against Pi's ancestor bitsets."""
+        """One mask per bound point: the run numbered its points by Pi's
+        index, so the realized sources of a point that Pi does not place
+        before it are ``into[p] & ~anc[p]``; only those are decoded."""
 
         clause = self.clauses["order"]
         index, anc = self.pi.reach
+        if dep.numbered_by is not index:
+            raise ValueError("the run's points were not numbered by Pi's index")
         missing = []
-        for before, afters in dep.successors():
-            clause.activity += len(afters)
-            bit = 1 << index[before] if before in index else 0
-            missing.extend((before, after) for after in afters if not anc.get(after, 0) & bit)
+        for point, sources in dep.into.items():
+            clause.activity += sources.bit_count()
+            outside = sources & ~anc.get(point, 0)
+            if outside:
+                missing.extend((before, point) for before in dep.points_of(outside))
         for edge in sorted(missing):
             clause.fail(f"realized edge {edge} missing from the approximated order")
 
@@ -365,7 +371,8 @@ class _Judge:
         every binding point of the location, the semantic point among them,
         and the chain-wise interpretation at a bound point is that point's
         own atom; so the clause holds exactly when some variable covers the
-        location, or fails when ``ip_sem`` finds no unique top."""
+        location (one mask per variable), or fails when ``ip_sem``, one
+        backward walk over the run's source bitsets, finds no unique top."""
 
         clause = self.clauses["ip"]
         for location in sorted(s for s in dep.subjects() if isinstance(s, Location)):
@@ -378,7 +385,7 @@ class _Judge:
                 continue
             _, sem_point = atom
             clause.check(
-                bool(_covering_ivars(dep, self.gamma, location, self.ivars)),
+                bool(self.covering(dep, location, self.ivars)),
                 f"{location} interpreted at {sem_point}, not among chain-wise interpretations",
             )
 
@@ -452,7 +459,9 @@ def check_soundness(
     report = AgreementReport()
     judge = _Judge(analysis, report)
     try:
-        outcome = evaluate(program, budget=budget, on_step=judge.on_step, tamper=tamper)
+        outcome = evaluate(
+            program, budget=budget, on_step=judge.on_step, tamper=tamper, index=analysis.pi.reach[0]
+        )
     except EvalBudgetExceeded:
         report.outcome = "inconclusive"
         report.note = f"evaluation exceeded {budget} steps"

@@ -21,7 +21,9 @@ three kinds of edges:
 
 Self edges are dropped, and an edge whose addition would close a cycle
 is dropped too; the latter can only be provoked by recursive programs,
-which the type system rejects.
+which the type system rejects.  The order is kept as one bitset per
+point, of the points before it, over an index of points; ``DepState``
+says how, and what a revisited point costs.
 
 A run can be watched through one callback, ``on_step``, called with six
 positional arguments and nothing allocated for it:
@@ -178,107 +180,134 @@ def show_value(value: object) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DepPair:
     """A set of location occurrences and a set of variable occurrences.
 
     Members are (subject, point) tuples; subjects in ``locs`` are
-    Location values, subjects in ``vars`` are variable names.
+    Location values, subjects in ``vars`` are variable names.  ``pts``
+    is the bitset of the points the atoms name, in the numbering of the
+    run that built the pair, or None for a pair built elsewhere; it
+    takes no part in equality, hashing or output.
     """
 
     locs: frozenset = frozenset()
     vars: frozenset = frozenset()
+    pts: int | None = field(default=None, compare=False, repr=False)
 
     def union(self, other: "DepPair") -> "DepPair":
-        return DepPair(self.locs | other.locs, self.vars | other.vars)
+        pts = None if self.pts is None or other.pts is None else self.pts | other.pts
+        return DepPair(self.locs | other.locs, self.vars | other.vars, pts)
 
 
-EMPTY_PAIR = DepPair()
-
-
-def var_pair(name: str, point: int) -> DepPair:
-    return DepPair(frozenset(), frozenset({(name, point)}))
-
-
-def _search(adjacency: dict, starts) -> set:
-    """Every node reachable from some node of ``starts`` in one or more
-    steps."""
-
-    seen: set = set()
-    stack = list(starts)
-    while stack:
-        for nxt in adjacency.get(stack.pop(), ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
+EMPTY_PAIR = DepPair(pts=0)
 
 
 class DepState:
     """The function w plus the realized order on program points.
 
-    The order is kept once, as successor sets; ``edges`` builds the edge
-    set on demand.  ``_points`` keeps every point each subject was bound
-    at, so ``bound_points`` need not scan ``w``.
+    A point's bit is its position in ``index`` (point to position, 0 to
+    n - 1 each once), such as Pi's ``reach[0]``; a point outside it takes
+    the next free position when the run first meets it.  The order is
+    kept once, as ``into``: each point with an edge into it, to the
+    bitset of the points before it; ``edges`` decodes it on demand.
+    ``_points`` keeps the bitset of each subject's binding points.
 
     Every edge a binding adds ends at the binding point, so adding one
-    cannot open a path out of that point: ``bind`` searches at most once.
-    A point with no successors yet, which is every point a typed program
-    binds, takes all its sources without a search.  A point that already
-    has successors, which only untyped recursion revisiting it can give,
-    takes one forward search from it, and the sources that search reaches
-    get no edge, since each would close a cycle.
+    cannot open a path out of that point.  A point no edge starts from
+    yet, which is every point a typed program binds, takes its new
+    sources in one OR.  A point some edge starts from, which only untyped
+    recursion revisiting it can give, takes one forward search from it,
+    over successor bitsets kept from the first such revisit on, and the
+    new sources it reaches get no edge, since each would close a cycle.
     """
 
-    def __init__(self):
+    def __init__(self, index: dict | None = None):
         self.w: dict = {}
         self.latest: dict = {}
-        self._succ: dict = {}
+        self.into: dict = {}
+        self.numbered_by = index
+        self._index: dict = dict(index or ())
+        self._at: list = sorted(self._index, key=self._index.get)  # position -> point
         self._points: dict = {}
+        self._tails = 0  # the points some edge starts from
+        self._succ: dict | None = None  # point -> successor bitset, from the first revisit
+
+    def bit(self, point: int) -> int:
+        position = self._index.get(point)
+        if position is None:
+            position = self._index[point] = len(self._at)
+            self._at.append(point)
+        return 1 << position
+
+    def points_of(self, bits: int) -> list:
+        points = []  # lowest position first
+        while bits:
+            low = bits & -bits
+            points.append(self._at[low.bit_length() - 1])
+            bits ^= low
+        return points
 
     # -- order ---------------------------------------------------------------
 
-    def successors(self):
-        """(before, the set of points right after it) for every point
-        with successors."""
-
-        return self._succ.items()
-
     @property
     def edges(self) -> set:
-        return {(before, after) for before, afters in self._succ.items() for after in afters}
+        return {(before, after) for after, bits in self.into.items() for before in self.points_of(bits)}
+
+    def _link(self, sources: int, here: int):
+        for before in self.points_of(sources):
+            self._succ[before] = self._succ.get(before, 0) | here
+
+    def _reached_from(self, here: int) -> int:
+        """The bits of every point some path from ``here``'s point reaches."""
+
+        if self._succ is None:
+            self._succ = {}
+            for after, bits in self.into.items():
+                self._link(bits, self.bit(after))
+        reached, todo = 0, here
+        while todo:
+            low = todo & -todo
+            new = self._succ.get(self._at[low.bit_length() - 1], 0) & ~reached
+            reached, todo = reached | new, (todo ^ low) | new
+        return reached
 
     # -- bindings --------------------------------------------------------------
 
     def bind(self, subject, point: int, pair: DepPair, incoming, threading: bool = True):
         # the sources: the pair's points, the threading and chaining points
-        sources = {pt for _, pt in pair.locs}
-        sources.update(pt for _, pt in pair.vars)
+        bit = self.bit
+        sources = pair.pts
+        if sources is None:  # a pair built outside the run: the OR of its atoms' bits
+            sources = sum({bit(pt) for _, pt in pair.locs | pair.vars})
         if threading and incoming is not None:
-            sources.add(incoming)
+            sources |= bit(incoming)
         previous = self.latest.get(subject)
         if previous is not None:
-            sources.add(previous)
-        sources.discard(point)
-        succ = self._succ
-        if sources and succ.get(point):
-            sources -= _search(succ, (point,))  # each would close a cycle
-        for before in sources:
-            afters = succ.get(before)
-            if afters is None:
-                succ[before] = {point}
-            else:
-                afters.add(point)
+            sources |= bit(previous)
+        here = bit(point)
+        known = self.into.get(point, 0)
+        sources &= ~(here | known)  # only a new edge can close a cycle
+        if sources and self._tails & here:
+            sources &= ~self._reached_from(here)  # each would close a cycle
+        if sources:
+            self.into[point] = known | sources
+            self._tails |= sources
+            if self._succ is not None:
+                self._link(sources, here)
         key = (subject, point)
         if key in self.w:
             self.w[key] = self.w[key].union(pair)
         else:
             self.w[key] = pair
-            self._points.setdefault(subject, set()).add(point)
+            self._points[subject] = self._points.get(subject, 0) | here
         self.latest[subject] = point
 
+    def bound_bits(self, subject) -> int:
+        return self._points.get(subject, 0)
+
     def bound_points(self, subject) -> frozenset:
-        return frozenset(self._points.get(subject, ()))
+        return frozenset(self.points_of(self._points.get(subject, 0)))
 
     def ip(self, subject):
         """The subject's latest binding point, or None when it was never
@@ -423,9 +452,9 @@ def _apply_prim(op: str, left, right, point: int):
 
 
 class _Evaluator:
-    def __init__(self, budget: int, on_step, tamper):
+    def __init__(self, budget: int, on_step, tamper, index):
         self.store: dict = {}
-        self.dep = DepState()
+        self.dep = DepState(index)
         self.steps = 0
         self.budget = budget
         self.on_step = on_step
@@ -478,7 +507,8 @@ class _Evaluator:
                     raise UnboundVariable(name, p)
                 value, bind_point = env[name]
                 looked_up = self.dep.w.get((name, bind_point), EMPTY_PAIR)
-                return value, looked_up.union(var_pair(name, p))
+                pts = None if looked_up.pts is None else looked_up.pts | self.dep.bit(p)
+                return value, DepPair(looked_up.locs, looked_up.vars | {(name, p)}, pts)
 
             case Abstraction(param, body):
                 return Closure(param, body, env, lam_point=p), EMPTY_PAIR
@@ -553,11 +583,9 @@ class _Evaluator:
                 content = self.store[ref_value]
                 current = self.dep.ip(ref_value)
                 stored_pair = self.dep.w.get((ref_value, current), EMPTY_PAIR)
-                result_pair = DepPair(
-                    ref_pair.locs | {(ref_value, current)} | stored_pair.locs,
-                    ref_pair.vars | stored_pair.vars,
-                )
-                return content, result_pair
+                read = ref_pair.union(stored_pair)
+                pts = None if read.pts is None else read.pts | self.dep.bit(current)
+                return content, DepPair(read.locs | {(ref_value, current)}, read.vars, pts)
 
             case Case(scrutinee, patterns, clauses):
                 scrut_value, scrut_pair = self.eval(scrutinee, env, incoming)
@@ -583,11 +611,12 @@ def evaluate(
     budget: int = 1_000_000,
     on_step=None,
     tamper=None,
+    index: dict | None = None,
 ) -> EvalOutcome:
     """Run the program and collect w, the realized order, and the result
-    pair."""
+    pair; ``index`` numbers the order's points (see ``DepState``)."""
 
-    machine = _Evaluator(budget, on_step, tamper)
+    machine = _Evaluator(budget, on_step, tamper, index)
     value, pair = machine.run(program)
     return EvalOutcome(
         value=value,
@@ -605,22 +634,23 @@ def ip_sem(subject, dep: DepState):
     Returns (subject, point) for the unique greatest binding point of the
     subject in dom(w), or None when the subject was never bound.  The
     order is acyclic (``bind`` drops every edge that would close a cycle),
-    so a binding point is below another exactly when one backward search
-    from all binding points, over a predecessor map that lives only for
-    this call, reaches it.  The points it does not reach are the tops; no
-    unique top means the order is ambiguous for the subject.
+    so a binding point is below another exactly when one backward walk
+    over ``into``, from the bits of all binding points, reaches it.  The
+    candidates it does not reach are the tops; no unique top means the
+    order is ambiguous for the subject.
     """
 
-    candidates = dep.bound_points(subject)
+    candidates = dep.bound_bits(subject)
     if not candidates:
         return None
-    if len(candidates) == 1:
-        return (subject, next(iter(candidates)))
-    pred: dict = {}
-    for before, afters in dep.successors():
-        for after in afters:
-            pred.setdefault(after, []).append(before)
-    tops = candidates - _search(pred, candidates)
-    if len(tops) != 1:
-        raise AmbiguousPredecessor(subject, candidates)
-    return (subject, next(iter(tops)))
+    tops = candidates
+    if candidates & (candidates - 1):
+        below, todo = 0, candidates
+        while todo:
+            low = todo & -todo
+            sources = dep.into.get(dep._at[low.bit_length() - 1], 0)
+            below, todo = below | sources, (todo ^ low) | (sources & ~(below | candidates))
+        tops = candidates & ~below
+        if tops & (tops - 1) or not tops:
+            raise AmbiguousPredecessor(subject, dep.bound_points(subject))
+    return (subject, dep.points_of(tops)[0])

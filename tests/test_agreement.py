@@ -19,7 +19,7 @@ from refflow.agreement import (
     check_soundness,
     gen_program,
 )
-from refflow.semantics import DepPair, DepState, Location, evaluate
+from refflow.semantics import AmbiguousPredecessor, DepPair, DepState, Location, evaluate, ip_sem
 from refflow.syntax import Assign, Let, Ref, Variable, _children, free_vars, parse, pretty
 from refflow.typesys import MUTATIONS, TypeCheckError, typecheck
 
@@ -299,6 +299,65 @@ def test_any_value_tampered_into_a_location_ends_in_a_report():
 
     outcomes = {check_soundness(program, tamper=tamper).outcome for program in _pinned_programs()[:1000]}
     assert "fail" in outcomes
+
+
+def _interpretation(subject, dep):
+    try:
+        return ip_sem(subject, dep)
+    except AmbiguousPredecessor as err:
+        return str(err)
+
+
+def test_numbering_by_pi_index_realizes_the_same_order():
+    """[DERIVED] Over the 1000 corpus programs, cases(4/8/20) and the
+    untyped recursive programs, a run numbered by Pi's index and a run
+    numbering points as it meets them give the same edges, w and ip_sem
+    for every subject; a program that does not typecheck has no index and
+    runs once; the order clause refuses a run numbered otherwise."""
+    from refflow import agreement
+
+    indexed = 0
+    for program in _pinned_programs():
+        plain = evaluate(program).dep
+        try:
+            index = typecheck(program).pi.reach[0]
+        except TypeCheckError:
+            continue
+        dep = evaluate(program, index=index).dep
+        assert dep.numbered_by is index and dep.edges == plain.edges and dep.w == plain.w
+        for subject in plain.subjects():
+            assert _interpretation(subject, dep) == _interpretation(subject, plain)
+        indexed += 1
+    assert indexed == 1003
+    program = parse(cases_source(8))
+    judge = agreement._Judge(typecheck(program), AgreementReport())
+    with pytest.raises(ValueError, match="not numbered by Pi's index"):
+        judge.check_order(evaluate(program).dep)
+
+
+def test_covering_mask_matches_point_set_inclusion(monkeypatch):
+    """[DERIVED] For every location and candidate the judge tests, over
+    the pinned programs unmutated and under each mutation, the mask test
+    agrees with dep.bound_points(location) <= gamma.bound_points(ivar)."""
+    from refflow import agreement
+
+    covering, tested = agreement._Judge.covering, []
+
+    def checked(judge, dep, location, candidates):
+        found = covering(judge, dep, location, candidates)
+        points = dep.bound_points(location)
+        assert found == tuple(c for c in candidates if points <= judge.gamma.bound_points(c))
+        tested.append(len(candidates) - len(found))
+        return found
+
+    monkeypatch.setattr(agreement._Judge, "covering", checked)
+    for mutation in (None, *MUTATIONS):
+        for program in _pinned_programs():
+            try:
+                check_soundness(program, mutation=mutation)
+            except TypeCheckError:
+                pass
+    assert len(tested) > 20_000 and sum(tested) > 10_000  # calls, candidates not covering
 
 
 def test_ip_clause_needs_a_covering_variable(alias_chain):

@@ -383,6 +383,7 @@ DATA = Path(__file__).parent / "data"
     [
         ("eval", "countdown.rf", "countdown.eval.json"),
         ("eval --trace", "countdown.rf", "countdown.trace.json"),
+        ("eval", "cases8.rf", "cases8.eval.json"),
         ("check", "cases8.rf", "cases8.check.json"),
         ("typecheck", "cases8.rf", "cases8.typecheck.json"),
         ("nifc", "cases8.rf", "cases8.nifc.json"),
@@ -392,8 +393,9 @@ DATA = Path(__file__).parent / "data"
 def test_recorded_json_outputs(command, source, recorded):
     """[DERIVED] eval --json on an untyped recursive countdown, which
     revisits binding points, the same with --trace (one record per rule,
-    read off the evaluator's end events), check --json on cases(8),
-    typecheck --json on cases(8) (Pi's edges, Γ and every point's type),
+    read off the evaluator's end events), eval --json on cases(8), whose
+    two-arm cases branch and join the realized order, check --json on
+    cases(8), typecheck --json on cases(8) (Pi's edges, Γ and every point's type),
     nifc --json on cases(8) under its default labeling
     (tests/data/cases8.labels; the high cell reaches low binders, so nifc
     exits 1), and parse --json on a program that repeats every binder

@@ -10,6 +10,7 @@ import copy
 import hashlib
 import json
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,7 @@ from refflow.semantics import (
 )
 from refflow.syntax import PBool, PNat, PTuple, PVar, PWildcard, parse
 
+import reference
 from conftest import RECURSIVE_SRCS, cases_source
 
 LOC0 = Location(0)
@@ -253,7 +255,7 @@ def test_ip_sem_requires_unique_supremum():
     dep.bind(LOC0, 2, EMPTY_PAIR, None)
     dep.bind(LOC0, 8, EMPTY_PAIR, None, threading=False)
     # No order edge relates 2 and 8, so neither write is latest.
-    dep._succ.clear()
+    dep.into.clear()
     with pytest.raises(AmbiguousPredecessor):
         ip_sem(LOC0, dep)
 
@@ -310,6 +312,73 @@ def test_bound_points_equals_scan_of_w():
     dep.bind(LOC0, 5, EMPTY_PAIR, None)
     assert dep.bound_points(LOC0) == frozenset({2, 5})
     assert isinstance(dep.bound_points(LOC0), frozenset)
+
+
+SUBJECTS = ("x", "y", "z", LOC0, Location(1))
+
+
+def _pair(atoms: frozenset, pts=None) -> DepPair:
+    locs = frozenset(atom for atom in atoms if isinstance(atom[0], Location))
+    return DepPair(locs, atoms - locs, pts)
+
+
+def _random_binds(seed: int) -> tuple:
+    """A random sequence of bind calls, drawn while the reference state
+    runs it: rebinds of a bound key, pairs that carry ``pts`` or not,
+    ``incoming`` None, ``threading`` off, and revisits whose sources the
+    point already reaches.  Returns the calls, the reference state and
+    the number of those revisits."""
+
+    rng = random.Random(seed)
+    ref = reference.DepState()
+    calls, revisits = [], 0
+    for _ in range(rng.randint(1, 14)):
+        if ref.w and rng.random() < 0.2:
+            subject, point = rng.choice(sorted(ref.w, key=repr))
+        else:
+            subject, point = rng.choice(SUBJECTS), rng.randrange(12)
+        atoms = {(rng.choice(SUBJECTS), rng.randrange(12)) for _ in range(rng.randint(0, 3))}
+        reached = sorted(reference._search(ref._succ, (point,)))
+        if reached and rng.random() < 0.5:
+            atoms.add((rng.choice(SUBJECTS), rng.choice(reached)))
+            revisits += 1
+        call = (subject, point, frozenset(atoms), rng.choice((None, rng.randrange(12))), rng.random() < 0.7)
+        calls.append((*call, rng.random() < 0.5))
+        ref.bind(subject, point, _pair(call[2]), *call[3:])
+    return calls, ref, revisits
+
+
+def _order_facts(dep, ip_sem_of) -> tuple:
+    interpretations = []
+    for subject in SUBJECTS:
+        try:
+            interpretations.append(ip_sem_of(subject, dep))
+        except AmbiguousPredecessor as err:
+            interpretations.append((str(err), err.subject, err.points))
+    points = [dep.bound_points(subject) for subject in SUBJECTS]
+    return dep.edges, dep.w, dep.latest, points, interpretations
+
+
+def test_bind_matches_the_successor_set_reference():
+    """[DERIVED] 4,000 random bind sequences give the same edges, w,
+    latest binding, bound points and ip_sem (or ambiguity) for every
+    subject on the bitset state as on the reference successor-set state
+    of tests/reference.py, once numbering points as they come and once
+    from a given index over none, some or all of them."""
+
+    revisits = 0
+    for seed in range(4000):
+        calls, ref, found = _random_binds(seed)
+        revisits += found
+        expected = _order_facts(ref, reference.ip_sem)
+        order = random.Random(-seed).sample(range(12), seed % 13)
+        for index in (None, {point: position for position, point in enumerate(order)}):
+            dep = DepState(index)
+            for subject, point, atoms, incoming, threading, carry in calls:
+                pts = sum({dep.bit(pt) for _, pt in atoms}) if carry else None
+                dep.bind(subject, point, _pair(atoms, pts), incoming, threading)
+            assert _order_facts(dep, ip_sem) == expected, (seed, index)
+    assert revisits > 1000
 
 
 def _realized_row(program) -> list:
