@@ -30,9 +30,10 @@ environment is checked per binding: a bind event records its (name,
 point) pair, which is checked once, at the first end event whose
 environment holds it, and a location's holders are read off the pairs
 bound to it, so no environment is scanned whole.  The store is checked
-per write, at the first end event after it.  The realized order costs
-one mask per bound point against Pi's ancestor bitsets, once the run
-ends, since the run numbers its points by Pi's index.
+per write, at the first end event after it.  The run keeps its order
+in a ``semantics.Order`` numbered by Pi's own index, so the realized
+order costs one mask per bound point against Pi's ancestor bitsets,
+once the run ends.
 Alias blocks are read off the checking walk's merges; a subject no
 merge touches is its own block.
 """
@@ -460,7 +461,7 @@ def check_soundness(
     judge = _Judge(analysis, report)
     try:
         outcome = evaluate(
-            program, budget=budget, on_step=judge.on_step, tamper=tamper, index=analysis.pi.reach[0]
+            program, budget=budget, on_step=judge.on_step, tamper=tamper, index=analysis.pi.index
         )
     except EvalBudgetExceeded:
         report.outcome = "inconclusive"

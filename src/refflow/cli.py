@@ -40,6 +40,7 @@ from .semantics import (
     EvalError,
     evaluate,
     show_value,
+    w_key,
 )
 from .syntax import (
     Abstraction,
@@ -252,7 +253,7 @@ def _cmd_eval(args) -> int:
     except EvalError as err:
         return _fail(f"evaluation error: {err}", EXIT_REJECT)
 
-    w_items = sorted(outcome.dep.w.items(), key=lambda item: (item[0][1], str(item[0][0])))
+    w_items = sorted(outcome.dep.w.items(), key=w_key)
     order = sorted(outcome.dep.edges)
     if args.json:
         _emit_json(

@@ -282,12 +282,12 @@ def semantic_low_flows(program: Occurrence, labeling: dict, *, budget: int = 1_0
     the transitive dependency footprint of a low binding.  A passing
     static verdict promises this comes back empty."""
 
-    from .semantics import evaluate
+    from .semantics import evaluate, w_key
 
     outcome = evaluate(program, budget=budget)
     w = outcome.dep.w
     flows: set = set()
-    for site, pair in sorted(w.items(), key=_w_key):
+    for site, pair in sorted(w.items(), key=w_key):
         binder = site[0]
         if not isinstance(binder, str) or level_of(labeling, binder) != LOW:
             continue
@@ -306,8 +306,3 @@ def semantic_low_flows(program: Occurrence, labeling: dict, *, budget: int = 1_0
             if isinstance(atom[0], str) and level_of(labeling, atom[0]) == HIGH:
                 flows.add(Flow(atom, site))
     return tuple(sorted(flows, key=lambda flow: (flow.binding, flow.occurrence, flow.subject, flow.binder)))
-
-
-def _w_key(item):
-    (subject, point), _ = item
-    return (point, str(subject))

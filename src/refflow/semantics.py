@@ -21,9 +21,9 @@ three kinds of edges:
 
 Self edges are dropped, and an edge whose addition would close a cycle
 is dropped too; the latter can only be provoked by recursive programs,
-which the type system rejects.  The order is kept as one bitset per
-point, of the points before it, over an index of points; ``DepState``
-says how, and what a revisited point costs.
+which the type system rejects.  The order is an ``Order``, as the
+static half's Pi is: one index of points, and one bitset per point of
+the points right before it; ``DepState`` says what a revisit costs.
 
 A run can be watched through one callback, ``on_step``, called with six
 positional arguments and nothing allocated for it:
@@ -203,74 +203,74 @@ class DepPair:
 EMPTY_PAIR = DepPair(pts=0)
 
 
-class DepState:
-    """The function w plus the realized order on program points.
+class Order:
+    """Points numbered by an index, and an order over them as bitsets
+    (Agrawal, Borgida & Jagadish, SIGMOD 1989).
 
     A point's bit is its position in ``index`` (point to position, 0 to
-    n - 1 each once), such as Pi's ``reach[0]``; a point outside it takes
-    the next free position when the run first meets it.  The order is
-    kept once, as ``into``: each point with an edge into it, to the
-    bitset of the points before it; ``edges`` decodes it on demand.
-    ``_points`` keeps the bitset of each subject's binding points.
-
-    Every edge a binding adds ends at the binding point, so adding one
-    cannot open a path out of that point.  A point no edge starts from
-    yet, which is every point a typed program binds, takes its new
-    sources in one OR.  A point some edge starts from, which only untyped
-    recursion revisiting it can give, takes one forward search from it,
-    over successor bitsets kept from the first such revisit on, and the
-    new sources it reaches get no edge, since each would close a cycle.
+    n - 1 each once; ``at`` is the inverse), and ``bit`` gives a point
+    outside it the next free position.  ``into`` keeps the order once:
+    each point with an edge into it, to the bitset of its sources.
     """
 
     def __init__(self, index: dict | None = None):
-        self.w: dict = {}
-        self.latest: dict = {}
+        self.index: dict = dict(index or ())
+        self.at: list = sorted(self.index, key=self.index.get)
         self.into: dict = {}
-        self.numbered_by = index
-        self._index: dict = dict(index or ())
-        self._at: list = sorted(self._index, key=self._index.get)  # position -> point
-        self._points: dict = {}
-        self._tails = 0  # the points some edge starts from
-        self._succ: dict | None = None  # point -> successor bitset, from the first revisit
 
     def bit(self, point: int) -> int:
-        position = self._index.get(point)
+        position = self.index.get(point)
         if position is None:
-            position = self._index[point] = len(self._at)
-            self._at.append(point)
+            position = self.index[point] = len(self.at)
+            self.at.append(point)
         return 1 << position
 
     def points_of(self, bits: int) -> list:
         points = []  # lowest position first
         while bits:
             low = bits & -bits
-            points.append(self._at[low.bit_length() - 1])
+            points.append(self.at[low.bit_length() - 1])
             bits ^= low
         return points
 
-    # -- order ---------------------------------------------------------------
-
     @property
-    def edges(self) -> set:
-        return {(before, after) for after, bits in self.into.items() for before in self.points_of(bits)}
+    def edges(self) -> frozenset:
+        return frozenset((before, after) for after, bits in self.into.items() for before in self.points_of(bits))
 
-    def _link(self, sources: int, here: int):
-        for before in self.points_of(sources):
-            self._succ[before] = self._succ.get(before, 0) | here
+    def walk(self, bits: int, stop: int = 0) -> int:
+        """The bits of the points some path leads from to a point in
+        ``bits``, walked backwards over ``into`` and not past ``stop``."""
 
-    def _reached_from(self, here: int) -> int:
-        """The bits of every point some path from ``here``'s point reaches."""
-
-        if self._succ is None:
-            self._succ = {}
-            for after, bits in self.into.items():
-                self._link(bits, self.bit(after))
-        reached, todo = 0, here
+        into, at = self.into, self.at
+        reached, todo = 0, bits
         while todo:
             low = todo & -todo
-            new = self._succ.get(self._at[low.bit_length() - 1], 0) & ~reached
-            reached, todo = reached | new, (todo ^ low) | new
+            new = into.get(at[low.bit_length() - 1], 0) & ~reached
+            reached, todo = reached | new, (todo ^ low) | (new & ~stop)
         return reached
+
+
+class DepState(Order):
+    """The function w plus the realized order on program points, numbered
+    by ``index`` when one is given, such as Pi's.  ``_points`` keeps the
+    bitset of each subject's binding points.
+
+    Every edge a binding adds ends at the binding point, so adding one
+    cannot open a path out of that point.  A point no edge starts from
+    yet, which is every point a typed program binds, takes its new
+    sources in one OR.  A point some edge starts from, which only untyped
+    recursion revisiting it can give, gets no edge from a new source it
+    reaches, since each would close a cycle: one walk back from each
+    source tells.
+    """
+
+    def __init__(self, index: dict | None = None):
+        super().__init__(index)
+        self.w: dict = {}
+        self.latest: dict = {}
+        self.numbered_by = index
+        self._points: dict = {}
+        self._tails = 0  # the points some edge starts from
 
     # -- bindings --------------------------------------------------------------
 
@@ -288,13 +288,11 @@ class DepState:
         here = bit(point)
         known = self.into.get(point, 0)
         sources &= ~(here | known)  # only a new edge can close a cycle
-        if sources and self._tails & here:
-            sources &= ~self._reached_from(here)  # each would close a cycle
+        if sources and self._tails & here:  # a source the point reaches would close a cycle
+            sources &= ~sum(low for low in map(bit, self.points_of(sources)) if self.walk(low) & here)
         if sources:
             self.into[point] = known | sources
             self._tails |= sources
-            if self._succ is not None:
-                self._link(sources, here)
         key = (subject, point)
         if key in self.w:
             self.w[key] = self.w[key].union(pair)
@@ -320,6 +318,13 @@ class DepState:
 
     def subjects(self) -> frozenset:
         return frozenset(self.latest)
+
+
+def w_key(item) -> tuple:
+    """The order w's items are shown in: by point, then by subject text."""
+
+    (subject, point), _ = item
+    return (point, str(subject))
 
 
 # ---------------------------------------------------------------------------
@@ -645,12 +650,7 @@ def ip_sem(subject, dep: DepState):
         return None
     tops = candidates
     if candidates & (candidates - 1):
-        below, todo = 0, candidates
-        while todo:
-            low = todo & -todo
-            sources = dep.into.get(dep._at[low.bit_length() - 1], 0)
-            below, todo = below | sources, (todo ^ low) | (sources & ~(below | candidates))
-        tops = candidates & ~below
+        tops &= ~dep.walk(candidates, stop=candidates)
         if tops & (tops - 1) or not tops:
             raise AmbiguousPredecessor(subject, dep.bound_points(subject))
     return (subject, dep.points_of(tops)[0])

@@ -21,18 +21,19 @@ The same walk records the flow facts the rest of the static half reads,
 so each program is walked once: the approximated order Pi (every point
 visited after its children, one cover edge per consecutive visit, case
 arms and the bodies behind a several-origin application forking from
-one point and joining at their parent), kept as the predecessor sets
-the walk fills, with its edges and points as views; the binding sites;
-and the alias merges, one (binder, internal variable) pair per cell a
-binder's value may denote, unified into the alias base in the style of
-Steensgaard's points-to analysis (POPL 1996): every subject starts in
-its own block and each merge joins two blocks.
+one point and joining at their parent), numbered in visit order as the
+walk goes; the binding sites; and the alias merges, one (binder,
+internal variable) pair per cell a binder's value may denote, unified
+into the alias base in the style of Steensgaard's points-to analysis
+(POPL 1996): every subject starts in its own block and each merge joins
+two blocks.
 
-The module also owns the order's queries: Pi's maximal chains and the
-chain-wise interpretation of a subject's binding points.  Pi's visit
-list is a topological order of its edges, so one pass over it gives
-every point its strict ancestors as a Python-int bitset and
-``precedes`` is a bit test (Agrawal, Borgida & Jagadish, SIGMOD 1989).
+Pi is a ``semantics.Order``, the point index and bitset edge store the
+collecting run keeps its realized order in, so the oracle compares the
+two bit for bit.  The visit order is a topological order of Pi's edges,
+so one pass over it gives every point its strict ancestors as a bitset
+and ``precedes`` is a bit test; the chain-wise interpretation of a
+subject's binding points, ``ip_type``, is one walk back over Pi.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from .syntax import (
     Variable,
     _children,
 )
-from .semantics import Closure, Interned, Location
+from .semantics import Closure, Interned, Location, Order
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +212,6 @@ class UndefinedUnion(TypeCheckError):
         super().__init__("the types have no union", point)
 
 
-class UnknownPoint(Exception):
-    def __init__(self, point: int):
-        super().__init__(f"point {point} does not occur in the order")
-        self.point = point
-
-
 class UnboundName(TypeCheckError):
     def __init__(self, name: str, point: int):
         super().__init__(f"unbound name {name!r}", point)
@@ -297,58 +292,62 @@ class TypeEnv:
 # ---------------------------------------------------------------------------
 
 
-class Pi:
+class Pi(Order):
     """Happens-before approximation: cover edges over visited points.
 
-    ``visit`` lists the points in the order the checking walk reached them,
-    and every edge runs forward along it, so ``visit`` is a topological
-    order.  Pi holds the predecessor sets the walk filled (``pred``:
-    point to the points with an edge into it), or builds them from
-    ``edges``; ``edges`` and ``points`` are views built on first use.
-    On first use one pass over ``visit`` builds ``reach``: ``index``
-    (point to position in ``visit``) and ``anc`` (point to the Python-int
-    bitset of its strict ancestors, bit ``index[a]`` set when ``a``
-    precedes it); an edge running against the visit order raises
-    ValueError.  Points outside ``visit`` are unordered.
+    The checking walk numbers each point when it visits it, after its
+    children, and gives it its sources at once, all visited before it:
+    positions follow ``visit``, and every edge runs forward along it, so
+    ``visit`` is a topological order.  ``Pi(visit, edges)`` takes the
+    same steps over the given points and edges, and refuses (ValueError)
+    an edge that runs against the visit order or ends outside it.
+    ``reach`` is (index, anc), ``anc`` mapping each visited point to the
+    bitset of its strict ancestors, built on first use.  Points outside
+    ``visit`` are unordered.
     """
 
-    def __init__(self, visit: tuple, edges=(), pred: dict | None = None):
-        self.visit = visit
-        self.final = visit[-1] if visit else None
-        if pred is None:
-            pred = {}
-            for a, b in edges:
-                pred.setdefault(b, set()).add(a)
-        self._pred = pred
+    def __init__(self, visit: tuple = (), edges=()):
+        super().__init__()
+        into: dict = {}
+        for before, after in edges:
+            into.setdefault(after, []).append(before)
+        for point in visit:
+            sources = 0
+            for before in into.pop(point, ()):
+                if before not in self.index:
+                    raise ValueError(f"edge {(before, point)} runs against the visit order")
+                sources |= self.bit(before)
+            if sources:
+                self.into[point] = sources
+            self.bit(point)
+        if into:
+            raise ValueError(f"edges end at points outside the visit order: {sorted(into)}")
 
     @cached_property
-    def edges(self) -> frozenset:
-        return frozenset((a, b) for b, preds in self._pred.items() for a in preds)
+    def visit(self) -> tuple:
+        return tuple(self.at)
+
+    @property
+    def final(self) -> int | None:
+        return self.at[-1] if self.at else None
 
     @cached_property
     def points(self) -> frozenset:
-        return frozenset(self.visit)
+        return frozenset(self.at)
 
     @cached_property
     def reach(self) -> tuple:
-        """(index, anc), built in one pass over the visit order: a bit
-        test on them answers whether one point precedes another."""
+        """(index, anc), built in one pass over the visit order: a point's
+        ancestors are its sources' bits ORed with their ancestors, and a
+        bit test on them answers whether one point precedes another."""
 
-        index: dict = {}
         anc: dict = {}
-        for position, point in enumerate(self.visit):
-            index[point] = position
-            bits = 0
-            for pred in self._pred.get(point, ()):
-                # the checking walk only adds edges from a visited point to a later one
-                if pred not in anc:
-                    raise ValueError(f"edge {(pred, point)} runs against the visit order")
-                bits |= anc[pred] | (1 << index[pred])
+        for point in self.at:
+            bits = self.into.get(point, 0)
+            for before in self.points_of(bits):
+                bits |= anc[before]
             anc[point] = bits
-        outside = self._pred.keys() - anc.keys()
-        if outside:
-            raise ValueError(f"edges end at points outside the visit order: {sorted(outside)}")
-        return index, anc
+        return self.index, anc
 
     def precedes(self, a: int, b: int) -> bool:
         """a strictly precedes b, transitively."""
@@ -368,49 +367,7 @@ class Pi:
         )
 
     def predecessors(self, point: int):
-        return sorted(self._pred.get(point, ()))
-
-
-def _reduced_predecessors(pi: Pi) -> dict:
-    """Predecessor lists of the transitive reduction of the order.
-
-    An edge (a, b) is dropped when a longer path connects its endpoints,
-    which happens exactly when a precedes another predecessor of b;
-    chains enumerated over what remains are exactly the maximal chains
-    of the order's closure.
-    """
-
-    pred: dict = {}
-    for node in pi._pred:
-        parents = pi.predecessors(node)
-        pred[node] = [a for a in parents if not any(pi.precedes(a, c) for c in parents)]
-    return pred
-
-
-def p_chains(pi: Pi, point: int, limit: int = 100_000) -> frozenset:
-    """All maximal chains of the order's closure whose greatest element
-    is ``point``, each as an ascending tuple ending at ``point``.
-
-    The count is capped to guard against pathological graphs; the cap is
-    far above anything reachable at tested sizes.
-    """
-
-    if point not in pi.points:
-        raise UnknownPoint(point)
-    pred = _reduced_predecessors(pi)
-    chains = set()
-    stack = [(point, (point,))]
-    while stack:
-        node, path = stack.pop()
-        parents = pred.get(node, ())
-        if not parents:
-            chains.add(tuple(reversed(path)))
-            if len(chains) >= limit:
-                raise RuntimeError("chain enumeration exceeded its cap")
-            continue
-        for parent in parents:
-            stack.append((parent, path + (parent,)))
-    return frozenset(chains)
+        return sorted(self.points_of(self.into.get(point, 0)))
 
 
 def ip_type(subject, gamma: TypeEnv, pi: Pi, at: int | None = None) -> frozenset:
@@ -419,8 +376,8 @@ def ip_type(subject, gamma: TypeEnv, pi: Pi, at: int | None = None) -> frozenset
     occurrence of the subject; returned as the set of atoms over all
     chains.
 
-    Computed by a backward search that stops at binding points, which
-    visits each point once and agrees with per-chain enumeration.
+    Computed by one backward walk over Pi that stops at binding points,
+    which visits each point once and agrees with per-chain enumeration.
     """
 
     if at is None:
@@ -430,20 +387,10 @@ def ip_type(subject, gamma: TypeEnv, pi: Pi, at: int | None = None) -> frozenset
         return frozenset()
     if at in bound:
         return frozenset({(subject, at)})
-    found = set()
-    stack = [at]
-    seen = {at}
-    while stack:
-        node = stack.pop()
-        for pred in pi.predecessors(node):
-            if pred in seen:
-                continue
-            seen.add(pred)
-            if pred in bound:
-                found.add((subject, pred))
-            else:
-                stack.append(pred)
-    return frozenset(found)
+    if at not in pi.points:
+        return frozenset()
+    mask = sum(map(pi.bit, bound & pi.points))
+    return frozenset((subject, point) for point in pi.points_of(pi.walk(pi.bit(at), stop=mask) & mask))
 
 
 # ---------------------------------------------------------------------------
@@ -623,10 +570,10 @@ class Analysis:
 
 class _Checker:
     """The checking walk.  It visits every point after its children, in
-    evaluation order, appending it to ``visit`` with a cover edge from
-    ``last``, the point visited just before; case arms and the bodies
-    behind a several-origin application each start from the same point
-    and join at their parent with one edge per branch."""
+    evaluation order, numbering it in Pi with edges from ``last``, the
+    bits of the points the walk just left: the point visited before, or
+    where case arms or the bodies behind a several-origin application
+    forked from one point, the end of every branch."""
 
     def __init__(self, program: Occurrence, mutation: str | None, allow_free: bool):
         if mutation is not None and mutation not in MUTATIONS:
@@ -640,9 +587,8 @@ class _Checker:
         self.lam_scopes: dict = {}
         self.claims: dict = {}
         self.active: set = set()
-        self.visit: list = []
-        self.pred: dict = {}  # point -> the points with an edge into it
-        self.last: int | None = None
+        self.pi = Pi()
+        self.last = 0
         self.sites: list = []
         self.merges: list = []
 
@@ -656,7 +602,7 @@ class _Checker:
             gamma=self.gamma,
             type_of=self.type_of,
             result_type=result,
-            pi=Pi(tuple(self.visit), pred=self.pred),
+            pi=self.pi,
             binding_sites=tuple(self.sites),
             merges=tuple(self.merges),
         )
@@ -665,10 +611,9 @@ class _Checker:
         ty = self._dispatch(occ, scope)
         p = occ.point
         self.type_of[p] = ty
-        if self.last is not None:
-            self.pred.setdefault(p, set()).add(self.last)
-        self.visit.append(p)
-        self.last = p
+        if self.last:
+            self.pi.into[p] = self.last
+        self.last = self.pi.bit(p)
         return ty
 
     def _binder(self, name: str, site: int, ty: Type) -> Type:
@@ -741,6 +686,7 @@ class _Checker:
                 forked = len(origins) > 1
                 # every branch binds into its own copy, so the fork's state needs none
                 snapshot = self.gamma.latest
+                start, ends = self.last, 0
                 branch_latests: list = []
                 result: Type | None = None
                 for lam_point in origins:
@@ -758,14 +704,15 @@ class _Checker:
                     self.gamma.bind(param, arg.point, recorded)
                     body_scope = {**self.lam_scopes[lam_point], param: recorded}
                     self.active.add(lam_point)
-                    self.last = arg.point
+                    self.last = start
                     try:
                         body_ty = self.check(lam.expr.body, body_scope)
                     finally:
                         self.active.discard(lam_point)
-                    self.pred.setdefault(p, set()).add(lam.expr.body.point)
+                    ends |= self.last
                     result = body_ty if result is None else type_union(result, body_ty, p)
                     branch_latests.append(self.gamma.latest)
+                self.last = ends
                 if forked:
                     self._merge_branches(snapshot, branch_latests, p)
                 return push_atoms(result, fn_ty.pending)
@@ -816,6 +763,7 @@ class _Checker:
             case Case(scrutinee, patterns, clauses):
                 scrut_ty = self.check(scrutinee, scope)
                 snapshot = self.gamma.latest
+                start, ends = self.last, 0
                 branch_latests = []
                 result: Type | None = None
                 for pattern, clause in zip(patterns, clauses):
@@ -833,11 +781,12 @@ class _Checker:
                                 raise CaseOnAbstraction(p)
                         case PTuple(_):
                             raise UnsupportedPattern(p)
-                    self.last = scrutinee.point
+                    self.last = start
                     branch_ty = self.check(clause, branch_scope)
-                    self.pred.setdefault(p, set()).add(clause.point)
+                    ends |= self.last
                     result = branch_ty if result is None else type_union(result, branch_ty, p)
                     branch_latests.append(self.gamma.latest)
+                self.last = ends
                 self._merge_branches(snapshot, branch_latests, p)
                 if self.mutation == "tcase-drop-scrutinee":
                     return result

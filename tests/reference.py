@@ -13,13 +13,25 @@ markers on its stack.
 successor sets of points and search them; the library keeps one bitset
 of sources per point, numbered by an index of points, and walks those.
 They read only a pair's atoms, never its ``pts``.
+
+``Pi`` and ``ip_type`` keep the approximated order as predecessor sets
+of points and search them; the library builds Pi as an index of points
+with one bitset of sources per point, as the realized order is kept,
+and walks those.
+
+``p_chains`` enumerates Pi's maximal chains over the transitive
+reduction ``_reduced_predecessors`` gives; the chain-wise tests of
+``ip_type`` compare against it.  Both read the library's Pi, its
+``into`` keys being the points some edge enters.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from refflow.semantics import AmbiguousPredecessor, DepPair
 from refflow.syntax import Abstraction, Let, LetRec, Occurrence, Ref, Variable, _children
-from refflow.typesys import AbstractionInRef, LinearityViolation, _ungrouped
+from refflow.typesys import AbstractionInRef, LinearityViolation, TypeEnv, _ungrouped
 
 
 def linear_use_check(program: Occurrence) -> tuple:
@@ -184,3 +196,158 @@ def ip_sem(subject, dep: DepState):
     if len(tops) != 1:
         raise AmbiguousPredecessor(subject, candidates)
     return (subject, next(iter(tops)))
+
+
+class Pi:
+    """Happens-before approximation: cover edges over visited points.
+
+    ``visit`` lists the points in the order the checking walk reached them,
+    and every edge runs forward along it, so ``visit`` is a topological
+    order.  Pi holds the predecessor sets the walk filled (``pred``:
+    point to the points with an edge into it), or builds them from
+    ``edges``; ``edges`` and ``points`` are views built on first use.
+    On first use one pass over ``visit`` builds ``reach``: ``index``
+    (point to position in ``visit``) and ``anc`` (point to the Python-int
+    bitset of its strict ancestors, bit ``index[a]`` set when ``a``
+    precedes it); an edge running against the visit order raises
+    ValueError.  Points outside ``visit`` are unordered.
+    """
+
+    def __init__(self, visit: tuple, edges=(), pred: dict | None = None):
+        self.visit = visit
+        self.final = visit[-1] if visit else None
+        if pred is None:
+            pred = {}
+            for a, b in edges:
+                pred.setdefault(b, set()).add(a)
+        self._pred = pred
+
+    @cached_property
+    def edges(self) -> frozenset:
+        return frozenset((a, b) for b, preds in self._pred.items() for a in preds)
+
+    @cached_property
+    def points(self) -> frozenset:
+        return frozenset(self.visit)
+
+    @cached_property
+    def reach(self) -> tuple:
+        """(index, anc), built in one pass over the visit order: a bit
+        test on them answers whether one point precedes another."""
+
+        index: dict = {}
+        anc: dict = {}
+        for position, point in enumerate(self.visit):
+            index[point] = position
+            bits = 0
+            for pred in self._pred.get(point, ()):
+                # the checking walk only adds edges from a visited point to a later one
+                if pred not in anc:
+                    raise ValueError(f"edge {(pred, point)} runs against the visit order")
+                bits |= anc[pred] | (1 << index[pred])
+            anc[point] = bits
+        outside = self._pred.keys() - anc.keys()
+        if outside:
+            raise ValueError(f"edges end at points outside the visit order: {sorted(outside)}")
+        return index, anc
+
+    def precedes(self, a: int, b: int) -> bool:
+        """a strictly precedes b, transitively."""
+
+        index, anc = self.reach
+        return a != b and a in index and b in anc and anc[b] >> index[a] & 1 == 1
+
+    def closure(self) -> frozenset:
+        """Every strictly ordered pair (a, b)."""
+
+        index, anc = self.reach
+        return frozenset(
+            (a, b)
+            for b in self.visit
+            for a in self.visit[: index[b]]
+            if anc[b] >> index[a] & 1
+        )
+
+    def predecessors(self, point: int):
+        return sorted(self._pred.get(point, ()))
+
+
+def ip_type(subject, gamma: TypeEnv, pi: Pi, at: int | None = None) -> frozenset:
+    """Chain-wise interpretation of a subject for a query at ``at``: on
+    each maximal chain ending at the query point, the greatest binding
+    occurrence of the subject; returned as the set of atoms over all
+    chains.
+
+    Computed by a backward search that stops at binding points, which
+    visits each point once and agrees with per-chain enumeration.
+    """
+
+    if at is None:
+        at = pi.final
+    bound = gamma.bound_points(subject)
+    if at is None or not bound:
+        return frozenset()
+    if at in bound:
+        return frozenset({(subject, at)})
+    found = set()
+    stack = [at]
+    seen = {at}
+    while stack:
+        node = stack.pop()
+        for pred in pi.predecessors(node):
+            if pred in seen:
+                continue
+            seen.add(pred)
+            if pred in bound:
+                found.add((subject, pred))
+            else:
+                stack.append(pred)
+    return frozenset(found)
+
+
+class UnknownPoint(Exception):
+    def __init__(self, point: int):
+        super().__init__(f"point {point} does not occur in the order")
+        self.point = point
+
+
+def _reduced_predecessors(pi: Pi) -> dict:
+    """Predecessor lists of the transitive reduction of the order.
+
+    An edge (a, b) is dropped when a longer path connects its endpoints,
+    which happens exactly when a precedes another predecessor of b;
+    chains enumerated over what remains are exactly the maximal chains
+    of the order's closure.
+    """
+
+    pred: dict = {}
+    for node in pi.into:
+        parents = pi.predecessors(node)
+        pred[node] = [a for a in parents if not any(pi.precedes(a, c) for c in parents)]
+    return pred
+
+
+def p_chains(pi: Pi, point: int, limit: int = 100_000) -> frozenset:
+    """All maximal chains of the order's closure whose greatest element
+    is ``point``, each as an ascending tuple ending at ``point``.
+
+    The count is capped to guard against pathological graphs; the cap is
+    far above anything reachable at tested sizes.
+    """
+
+    if point not in pi.points:
+        raise UnknownPoint(point)
+    pred = _reduced_predecessors(pi)
+    chains = set()
+    stack = [(point, (point,))]
+    while stack:
+        node, path = stack.pop()
+        parents = pred.get(node, ())
+        if not parents:
+            chains.add(tuple(reversed(path)))
+            if len(chains) >= limit:
+                raise RuntimeError("chain enumeration exceeded its cap")
+            continue
+        for parent in parents:
+            stack.append((parent, path + (parent,)))
+    return frozenset(chains)

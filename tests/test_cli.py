@@ -388,6 +388,8 @@ DATA = Path(__file__).parent / "data"
         ("typecheck", "cases8.rf", "cases8.typecheck.json"),
         ("nifc", "cases8.rf", "cases8.nifc.json"),
         ("parse", "rebind.rf", "rebind.parse.json"),
+        ("typecheck", "fork.rf", "fork.typecheck.json"),
+        ("check", "fork.rf", "fork.check.json"),
     ],
 )
 def test_recorded_json_outputs(command, source, recorded):
@@ -399,7 +401,10 @@ def test_recorded_json_outputs(command, source, recorded):
     nifc --json on cases(8) under its default labeling
     (tests/data/cases8.labels; the high cell reaches low binders, so nifc
     exits 1), and parse --json on a program that repeats every binder
-    form, shadows names and reads a free x_1, print the bytes recorded in
+    form, shadows names and reads a free x_1, and typecheck --json and
+    check --json on an application of a function with two origins
+    (fork.rf: Pi forks into both bodies and joins after them, and Γ
+    merges the cell's per-body entries), print the bytes recorded in
     tests/data; CI compares a fresh process against the same files."""
     argv = [*command.split(), "--json", str(DATA / source)]
     if command == "nifc":

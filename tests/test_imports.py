@@ -1,4 +1,5 @@
-"""Source hygiene: every imported name is used.
+"""Source hygiene: every imported name is used, and every name the
+benchmark's tracer wraps exists where it looks.
 
 Tags: [TRIVIAL] structural sanity.
 """
@@ -6,9 +7,11 @@ Tags: [TRIVIAL] structural sanity.
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import refflow
+from refflow.typesys import Pi
 
 ROOTS = (Path(refflow.__file__).parent, Path(__file__).parent)
 
@@ -39,3 +42,27 @@ def test_no_unused_imports():
         for line, name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert unused == []
+
+
+def _bench_table(tree: ast.Module, name: str) -> tuple:
+    """The literal a module-level assignment binds to ``name``."""
+
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError(name)
+
+
+def test_tracer_names_resolve():
+    """[TRIVIAL] Every (module, attribute) in bench/tracing.py's FUNCTIONS
+    resolves on refflow, and every PI_METHODS name is defined on Pi
+    itself, where the tracer patches it.  The tables are read from the
+    source as literals, so nothing under bench/ is imported or compiled."""
+    path = Path(__file__).parents[1] / "bench" / "tracing.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    functions, pi_methods = _bench_table(tree, "FUNCTIONS"), _bench_table(tree, "PI_METHODS")
+    assert functions and pi_methods
+    for _, module, attr, _ in functions:
+        assert callable(getattr(importlib.import_module(f"refflow.{module}"), attr)), (module, attr)
+    for _, attr, _ in pi_methods:
+        assert attr in Pi.__dict__, attr

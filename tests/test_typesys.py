@@ -12,6 +12,7 @@ import itertools
 import json
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -43,19 +44,21 @@ from refflow.typesys import (
     LinearityViolation,
     NonReferenceDeref,
     Pi,
+    TypeCheckError,
     TypeEnv,
     UndefinedUnion,
-    UnknownPoint,
-    _reduced_predecessors,
     ip_type,
     linear_use_check,
-    p_chains,
+    subject_key,
     type_union,
     type_value,
     typecheck,
 )
 
-from conftest import ALIAS_CHAIN_SRC, cases_source
+from conftest import ALIAS_CHAIN_SRC, RECURSIVE_SRCS, cases_source
+from reference import Pi as ReferencePi
+from reference import UnknownPoint, _reduced_predecessors, p_chains
+from reference import ip_type as reference_ip_type
 from reference import linear_use_check as reference_linear_use_check
 
 V2 = IVar(2)
@@ -344,6 +347,78 @@ def test_pi_from_the_walk_equals_pi_from_its_edges():
         assert rebuilt.reach == pi.reach
         assert (rebuilt.final, rebuilt.points) == (pi.final, pi.points)
         assert all(rebuilt.predecessors(p) == pi.predecessors(p) for p in pi.visit)
+
+
+def _order_rows(pi, gamma: TypeEnv, ip) -> list:
+    """What the order answers, as JSON: visit, final point, points,
+    edges, closure, and at every visited point its predecessors, its
+    ancestors decoded from ``reach`` and, for every Γ subject, ``ip``'s
+    atoms there and at the default query point."""
+    index, anc = pi.reach
+    return [
+        list(pi.visit), pi.final, sorted(pi.points), sorted(pi.edges), sorted(pi.closure()),
+        [pi.predecessors(p) for p in pi.visit],
+        [[a for a in pi.visit if anc[p] >> index[a] & 1] for p in pi.visit],
+        [
+            [str(s), [sorted(pt for _, pt in ip(s, gamma, pi, at=at)) for at in (*pi.visit, None)]]
+            for s in sorted(gamma.subjects(), key=subject_key)
+        ],
+    ]
+
+
+def test_pi_and_ip_type_match_the_set_based_reference():
+    """[DERIVED] Over the 1000 corpus programs, cases(4/8/20), the untyped
+    recursive programs (which the checker rejects) and fork.rf (an
+    application of a function with two origins), Pi and ip_type
+    answer as the earlier set-based Pi and ip_type do on the walk's visit
+    and edges, and the answers hash to the digest recorded with the
+    set-based walk, which pins the walk's visit and edges too."""
+    programs = [gen_program(seed, 1 + seed % 30) for seed in range(1000)]
+    programs += [parse(cases_source(n)) for n in (4, 8, 20)]
+    programs += [parse(src) for src in RECURSIVE_SRCS]
+    programs.append(parse((Path(__file__).parent / "data" / "fork.rf").read_text(encoding="utf-8")))
+    rows = []
+    for program in programs:
+        try:
+            analysis = typecheck(program)
+        except TypeCheckError:
+            continue
+        pi, gamma = analysis.pi, analysis.gamma
+        rows.append(_order_rows(pi, gamma, ip_type))
+        assert rows[-1] == _order_rows(ReferencePi(pi.visit, pi.edges), gamma, reference_ip_type)
+    assert len(rows) == 1004
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16] == "aedda5c40a5ff217"
+
+
+def test_pi_from_random_edges_matches_the_set_based_reference():
+    """[DERIVED] On 3000 seeded random visits and edge sets, with edges
+    that run backwards, start or end outside the visit, or loop, Pi
+    refuses with ValueError exactly the 839 inputs whose reach the
+    reference refuses, and answers as the reference on the rest, under a
+    Γ that also binds points outside the visit."""
+    rng = random.Random(15)
+    refused = 0
+    for _ in range(3000):
+        visit = tuple(rng.sample(range(12), rng.randint(0, 9)))
+        edges = set()
+        for _ in range(rng.randint(0, 12) if len(visit) > 1 else 0):
+            a, b = sorted(rng.sample(range(len(visit)), 2))
+            edges.add((visit[a], visit[b]))
+        if rng.random() < 0.3:  # it may run backwards, leave the visit or loop
+            edges.add((rng.randrange(12), rng.randrange(12)))
+        reference = ReferencePi(visit, frozenset(edges))
+        try:
+            pi = Pi(visit, frozenset(edges))
+        except ValueError:
+            refused += 1
+            with pytest.raises(ValueError):
+                reference.reach
+            continue
+        gamma = TypeEnv()
+        for _ in range(rng.randint(0, 6)):
+            gamma.bind(rng.choice(("a", "b", V2)), rng.randrange(12), Base())
+        assert _order_rows(pi, gamma, ip_type) == _order_rows(reference, gamma, reference_ip_type)
+    assert refused == 839
 
 
 def test_bound_points_is_a_snapshot():
