@@ -22,10 +22,11 @@ to check, so a fuzz campaign can tell vacuous passes from real ones.
 What the judge pays follows what is new or failing.  An event is one
 plain call (``semantics`` gives the protocol).  Checks that pass are
 counted in bulk and format nothing; witnesses, and the text saying
-where, are built, sorted, only for failures.  A dependency pair costs
-one subset test for its variable atoms and one decision per distinct
-location, an early-exit scan over delta; an end event with an empty pair
-and a value that is not a location costs no more than its call.  The
+where, are built, sorted, only for failures.  The run's atoms are bits
+of the analysis's table, so a dependency pair costs one mask for its
+variable atoms and one per distinct location; an end event with an
+empty pair and a value that is not a location costs no more than its
+call.  The
 environment is checked per binding: a bind event records its (name,
 point) pair, which is checked once, at the first end event whose
 environment holds it, and a location's holders are read off the pairs
@@ -60,6 +61,7 @@ from .typesys import (
     IVar,
     Type,
     show_atom,
+    show_type,
     subject_key,
     type_value,
     typecheck,
@@ -174,11 +176,13 @@ class _Judge:
         self.gamma = analysis.gamma
         self.pi = analysis.pi
         self.type_of = analysis.type_of
+        self.atoms = analysis.atoms
         self.report = report
         self.clauses = report.clauses
         # per-program indices, built once: Γ is complete before the run starts
         self.ivars = tuple(sorted((s for s in self.gamma.subjects() if isinstance(s, IVar)), key=subject_key))
         self.blocks = dict(analysis.alias_blocks)  # singletons join on first use
+        self._masks: dict = {}  # a block, or IVar -> the bits of its subjects' atoms
         self.fv_table = free_name_table(analysis.program)
         self.stack: list = []
         self.env: dict = {}  # the environment of the latest end event
@@ -206,15 +210,24 @@ class _Judge:
             found = self.blocks[subject] = frozenset((subject,))
         return found
 
+    def mask(self, key, keep) -> int:
+        found = self._masks.get(key)
+        if found is None:
+            found = self._masks[key] = self.atoms.mask(keep)
+        return found
+
     def covering(self, dep: DepState, location: Location, candidates) -> tuple:
         """Internal variables whose typing covers every binding point of the
         location: for each p with (location, p) in dom(w), (vx, p) in dom(Γ).
         One mask per candidate; distinct points have distinct bits, so the
-        sum of a variable's Γ point bits is their OR."""
+        sum of a variable's Γ point bits is their OR.  A location with no
+        binding point, which no ``ref`` allocated, has no cover."""
 
         if self._typed[0] is not dep:
             self._typed = (dep, {})
         typed, bound = self._typed[1], dep.bound_bits(location)
+        if not bound:
+            return ()
         for internal in candidates:
             if internal not in typed:
                 typed[internal] = sum(map(dep.bit, self.gamma.bound_points(internal)))
@@ -228,18 +241,23 @@ class _Judge:
 
     # -- per-clause primitives -----------------------------------------------
 
-    def dep_agree(self, pair: DepPair, delta: frozenset, where):
+    def dep_agree(self, pair: DepPair, delta: int, where):
         """One check per occurrence in the pair; only the failing ones are
-        sorted and shown.  A location atom's verdict depends on its
-        location only: held, its holders' block must meet delta; unheld,
-        delta must mention an internal variable.  Each is one scan over
-        delta that stops at the first atom deciding it."""
+        decoded, sorted and shown.  The variable atoms are one mask against
+        delta, a bitset over the same table.  A location atom's verdict
+        depends on its location only: held, its holders' block must meet
+        delta; unheld, delta must name an internal variable.  Each is one
+        mask of delta, with the block's atoms or the internal variables'."""
 
         clause = self.clauses["dependency"]
         clause.activity += len(pair.vars) + len(pair.locs)
-        if not pair.vars <= delta:
+        bits = pair.bits
+        if bits is None:  # a pair built outside the run
+            bits = sum(set(map(self.atoms.bit, pair.vars)))
+        missing = bits & ~delta
+        if missing:
             place = _place(where)
-            for atom in sorted(pair.vars - delta):
+            for atom in sorted(self.atoms.points_of(missing)):
                 clause.fail(f"{place}: variable occurrence {show_atom(atom)} not in delta")
         if not pair.locs:
             return
@@ -248,11 +266,9 @@ class _Judge:
             names = self.holders(location)
             if names:
                 block = self.block(names[0])
-                ok = all(name in block for name in names) and any(
-                    subject in block for subject, _ in delta
-                )
+                ok = all(name in block for name in names) and delta & self.mask(block, block.__contains__)
             else:
-                ok = any(isinstance(subject, IVar) for subject, _ in delta)
+                ok = delta & self.mask(IVar, lambda subject: isinstance(subject, IVar))
             if not ok:
                 uncovered[location] = names
         if not uncovered:
@@ -292,7 +308,8 @@ class _Judge:
     def type_agree(self, value, dep: DepState, pair: DepPair, ty: Type, where):
         if isinstance(value, Location):
             if not isinstance(ty, Base):
-                self.clauses["type"].check(False, f"{_place(where)}: location {value} typed as arrow {ty}")
+                shown = show_type(ty, self.atoms)
+                self.clauses["type"].check(False, f"{_place(where)}: location {value} typed as arrow {shown}")
                 return
             self.dep_agree(pair, ty.delta, where)
             self.alias_agree(dep, value, ty.kappa, where)
@@ -424,7 +441,7 @@ class _Judge:
             self.clauses["type"].check(False, f"point {point} was evaluated but never typed")
             return
         if isinstance(value, Location) and not isinstance(ty, Base):
-            self.clauses["type"].check(False, f"point {point}: location typed as arrow {ty}")
+            self.clauses["type"].check(False, f"point {point}: location typed as arrow {show_type(ty, self.atoms)}")
             return
         self.env = env
         if isinstance(value, Location):
@@ -461,7 +478,8 @@ def check_soundness(
     judge = _Judge(analysis, report)
     try:
         outcome = evaluate(
-            program, budget=budget, on_step=judge.on_step, tamper=tamper, index=analysis.pi.index
+            program, budget=budget, on_step=judge.on_step, tamper=tamper,
+            index=analysis.pi.index, atoms=analysis.atoms,
         )
     except EvalBudgetExceeded:
         report.outcome = "inconclusive"

@@ -66,16 +66,7 @@ from .syntax import (
     parse,
     pretty,
 )
-from .typesys import (
-    Arrow,
-    Base,
-    Type,
-    TypeCheckError,
-    atom_key,
-    show_atom,
-    subject_key,
-    typecheck,
-)
+from .typesys import TypeCheckError, show_type, subject_key, type_dict, typecheck
 
 EXIT_PASS = 0
 EXIT_REJECT = 1
@@ -116,23 +107,6 @@ def _pair_dict(pair: DepPair) -> dict:
         "locs": sorted(f"{loc}@{pt}" for loc, pt in pair.locs),
         "vars": sorted(f"{name}@{pt}" for name, pt in pair.vars),
     }
-
-
-def _type_dict(ty: Type) -> dict:
-    match ty:
-        case Base(delta, kappa):
-            return {
-                "kind": "base",
-                "delta": [show_atom(a) for a in sorted(delta, key=atom_key)],
-                "kappa": [str(s) for s in sorted(kappa, key=subject_key)],
-            }
-        case Arrow(origins, pending):
-            return {
-                "kind": "arrow",
-                "origins": sorted(origins),
-                "pending": [show_atom(a) for a in sorted(pending, key=atom_key)],
-            }
-    raise TypeError(f"unknown type {ty!r}")
 
 
 def _pattern_dict(pattern: Pattern) -> dict:
@@ -297,7 +271,7 @@ def _cmd_typecheck(args) -> int:
         analysis.gamma.entries.items(),
         key=lambda item: (subject_key(item[0][0]), item[0][1]),
     )
-    pi = analysis.pi
+    atoms, pi = analysis.atoms, analysis.pi
     edges = sorted(pi.edges)
     blocks = [
         [str(s) for s in sorted(block, key=subject_key)] for block in analysis.alias_base
@@ -305,13 +279,13 @@ def _cmd_typecheck(args) -> int:
     if args.json:
         _emit_json(
             {
-                "result": _type_dict(analysis.result_type),
+                "result": type_dict(analysis.result_type, atoms),
                 "types": {
-                    str(point): _type_dict(ty)
+                    str(point): type_dict(ty, atoms)
                     for point, ty in sorted(analysis.type_of.items())
                 },
                 "gamma": [
-                    {"subject": str(subject), "point": point, "type": _type_dict(ty)}
+                    {"subject": str(subject), "point": point, "type": type_dict(ty, atoms)}
                     for (subject, point), ty in gamma_items
                 ],
                 "pi": [list(edge) for edge in edges],
@@ -319,13 +293,13 @@ def _cmd_typecheck(args) -> int:
             }
         )
         return EXIT_PASS
-    print(f"result: {analysis.result_type}")
+    print(f"result: {show_type(analysis.result_type, atoms)}")
     print("types:")
     for point, ty in sorted(analysis.type_of.items()):
-        print(f"  {point}: {ty}")
+        print(f"  {point}: {show_type(ty, atoms)}")
     print("gamma:")
     for (subject, point), ty in gamma_items:
-        print(f"  {subject}@{point}: {ty}")
+        print(f"  {subject}@{point}: {show_type(ty, atoms)}")
     print("pi:")
     for before, after in edges:
         print(f"  {before} -> {after}")

@@ -10,9 +10,9 @@ an occurrence of a high variable.
 
 The verdict is computed twice, from two readings of the same data:
 
-* the origin reading walks the expanded origin set directly, one step
-  per atom the expansion reaches, with set difference adding each
-  internal variable's entry;
+* the origin reading takes each low binding's origin set, a bitset over
+  the analysis's atoms, closed through the entries of the internal
+  variables it names, and masks it with the bits of the high atoms;
 * the chain reading additionally demands that the order relation place
   the high occurrence at or before the low binding: one read of the
   binding's ancestor bitset in Pi per low binding, then one bit test
@@ -28,17 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import Occurrence
-from .typesys import (
-    Analysis,
-    Arrow,
-    Base,
-    IVar,
-    Pi,
-    Type,
-    TypeEnv,
-    program_subjects,
-    typecheck,
-)
+from .typesys import Analysis, Base, Type, program_subjects, typecheck
 
 HIGH = "high"
 LOW = "low"
@@ -189,49 +179,39 @@ class NoninterferenceVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _origins_of(ty: Type) -> frozenset:
-    match ty:
-        case Base(delta, _):
-            return delta
-        case Arrow(_, pending):
-            return pending
-    return frozenset()
+def _origins_of(ty: Type) -> int:
+    return ty.delta if isinstance(ty, Base) else ty.pending
 
 
-def _ivar_atoms(atoms) -> list:
-    return [atom for atom in atoms if isinstance(atom[0], IVar)]
+def expanded_origins(ty: Type, analysis: Analysis, binding: int) -> int:
+    """The origin set of ``ty`` (a bitset over ``analysis.atoms``) closed
+    transitively through the Γ entries of internal variables bound at or
+    before ``binding``.
 
+    Only atoms with an entry (``analysis.entered``) are expanded, each
+    once, and an entry adds only atoms not seen yet.  A read's atom names
+    the read's point, where Γ binds nothing, so on a checked program the
+    origin set itself comes back."""
 
-def expanded_origins(ty: Type, gamma: TypeEnv, pi: Pi, binding: int) -> frozenset:
-    """The origin set of ``ty`` closed transitively through the entries
-    of internal variables bound at or before ``binding``.
-
-    Only internal-variable atoms are expanded, each once, and each
-    entry's atoms join by set difference, so the closure costs one step
-    per atom it reaches; when no entry adds an atom, the origin set
-    itself comes back, uncopied."""
-
-    origins = _origins_of(ty)
-    frontier = _ivar_atoms(origins)
+    origins = seen = _origins_of(ty)
+    entered = analysis.entered
+    frontier = origins & entered
     if not frontier:
         return origins
-    index, anc = pi.reach
+    index, anc = analysis.pi.reach
     bits = anc.get(binding, 0)
-    entries = gamma.entries
-    seen = None  # the closure, once some entry adds to the origins
+    entries, at = analysis.gamma.entries, analysis.atoms.at
     while frontier:
-        atom = frontier.pop()
-        entry = entries.get(atom)
+        low = frontier & -frontier
+        frontier ^= low
+        atom = at[low.bit_length() - 1]
         point = atom[1]
-        if entry is None or point != binding and not (point in index and bits >> index[point] & 1):
+        if point != binding and not (point in index and bits >> index[point] & 1):
             continue
-        new = _origins_of(entry) - (origins if seen is None else seen)
-        if new:
-            if seen is None:
-                seen = set(origins)
-            seen |= new
-            frontier += _ivar_atoms(new)
-    return origins if seen is None else frozenset(seen)
+        new = _origins_of(entries[atom]) & ~seen
+        seen |= new
+        frontier |= new & entered
+    return seen
 
 
 def check_noninterference(program: Occurrence, labeling: dict) -> NoninterferenceVerdict:
@@ -240,28 +220,32 @@ def check_noninterference(program: Occurrence, labeling: dict) -> Noninterferenc
     the usual carriers of the high label.
 
     A binder is a sink when its level is ``low``, an atom a source when
-    its subject's level is ``high``.  The origin reading costs one step
-    per atom each sink's expanded origin set reaches; the chain reading
-    one bit test per flow against the sink's ancestor bitset in Pi.  The
-    flows are sorted once, as plain keys."""
+    its subject's level is ``high``.  The origin reading costs one mask
+    of each sink's expanded origin set with the high atoms' bits, and
+    decodes only the sources found; the chain reading one bit test per
+    flow against the sink's ancestor bitset in Pi.  The flows are sorted
+    once, as plain keys."""
 
     analysis: Analysis = typecheck(program, allow_free=True)
-    pi, gamma, type_of = analysis.pi, analysis.gamma, analysis.type_of
+    table, type_of = analysis.atoms, analysis.type_of
     high = {name for name, level in labeling.items() if level == HIGH}
+    # an internal variable equals no name, so it is never high
+    high_bits = table.mask(high.__contains__)
+    if not high_bits:  # every atom an expansion reaches is in the table
+        return NoninterferenceVerdict()
     keys = []
     for site in analysis.binding_sites:
         binder, binding = site
         if level_of(labeling, binder) != LOW:
             continue
-        # an internal variable equals no name, so it is never high
-        sources = [atom for atom in expanded_origins(type_of[binding], gamma, pi, binding) if atom[0] in high]
+        sources = expanded_origins(type_of[binding], analysis, binding) & high_bits
         if sources:
-            index, anc = pi.reach
+            index, anc = analysis.pi.reach
             bits = anc.get(binding, 0)
             # the first four fields tell flows apart, so the sort never compares the rest
             keys += [
                 (binding, pt, atom[0], binder, atom, site, pt == binding or pt in index and bits >> index[pt] & 1 == 1)
-                for atom in sources for pt in (atom[1],)
+                for atom in table.points_of(sources) for pt in (atom[1],)
             ]
     if not keys:
         return NoninterferenceVerdict()

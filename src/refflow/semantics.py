@@ -186,21 +186,24 @@ class DepPair:
 
     Members are (subject, point) tuples; subjects in ``locs`` are
     Location values, subjects in ``vars`` are variable names.  ``pts``
-    is the bitset of the points the atoms name, in the numbering of the
-    run that built the pair, or None for a pair built elsewhere; it
-    takes no part in equality, hashing or output.
+    is the bitset of the points the atoms name, in the run's numbering,
+    and ``bits`` of the ``vars`` atoms, in the atom table the run was
+    given; each is None for a pair built elsewhere (``bits`` also in a
+    run given no table) and takes no part in equality, hashing or output.
     """
 
     locs: frozenset = frozenset()
     vars: frozenset = frozenset()
     pts: int | None = field(default=None, compare=False, repr=False)
+    bits: int | None = field(default=None, compare=False, repr=False)
 
     def union(self, other: "DepPair") -> "DepPair":
         pts = None if self.pts is None or other.pts is None else self.pts | other.pts
-        return DepPair(self.locs | other.locs, self.vars | other.vars, pts)
+        bits = None if self.bits is None or other.bits is None else self.bits | other.bits
+        return DepPair(self.locs | other.locs, self.vars | other.vars, pts, bits)
 
 
-EMPTY_PAIR = DepPair(pts=0)
+EMPTY_PAIR = DepPair(pts=0, bits=0)
 
 
 class Order:
@@ -457,9 +460,10 @@ def _apply_prim(op: str, left, right, point: int):
 
 
 class _Evaluator:
-    def __init__(self, budget: int, on_step, tamper, index):
+    def __init__(self, budget: int, on_step, tamper, index, atoms):
         self.store: dict = {}
         self.dep = DepState(index)
+        self.atoms = atoms
         self.steps = 0
         self.budget = budget
         self.on_step = on_step
@@ -512,8 +516,10 @@ class _Evaluator:
                     raise UnboundVariable(name, p)
                 value, bind_point = env[name]
                 looked_up = self.dep.w.get((name, bind_point), EMPTY_PAIR)
+                atom = (name, p)
                 pts = None if looked_up.pts is None else looked_up.pts | self.dep.bit(p)
-                return value, DepPair(looked_up.locs, looked_up.vars | {(name, p)}, pts)
+                bits = None if looked_up.bits is None or self.atoms is None else looked_up.bits | self.atoms.bit(atom)
+                return value, DepPair(looked_up.locs, looked_up.vars | {atom}, pts, bits)
 
             case Abstraction(param, body):
                 return Closure(param, body, env, lam_point=p), EMPTY_PAIR
@@ -590,7 +596,7 @@ class _Evaluator:
                 stored_pair = self.dep.w.get((ref_value, current), EMPTY_PAIR)
                 read = ref_pair.union(stored_pair)
                 pts = None if read.pts is None else read.pts | self.dep.bit(current)
-                return content, DepPair(read.locs | {(ref_value, current)}, read.vars, pts)
+                return content, DepPair(read.locs | {(ref_value, current)}, read.vars, pts, read.bits)
 
             case Case(scrutinee, patterns, clauses):
                 scrut_value, scrut_pair = self.eval(scrutinee, env, incoming)
@@ -617,11 +623,13 @@ def evaluate(
     on_step=None,
     tamper=None,
     index: dict | None = None,
+    atoms: Order | None = None,
 ) -> EvalOutcome:
     """Run the program and collect w, the realized order, and the result
-    pair; ``index`` numbers the order's points (see ``DepState``)."""
+    pair; ``index`` numbers the order's points (see ``DepState``), and
+    ``atoms``, when given, the variable atoms of the pairs' ``bits``."""
 
-    machine = _Evaluator(budget, on_step, tamper, index)
+    machine = _Evaluator(budget, on_step, tamper, index, atoms)
     value, pair = machine.run(program)
     return EvalOutcome(
         value=value,

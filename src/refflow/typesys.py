@@ -2,7 +2,8 @@
 
 A base type is a pair (delta, kappa): delta collects the atomic
 occurrences a value may have been computed from, kappa the names the
-value may be aliased under when it is a reference.  Reference contents
+value may be aliased under when it is a reference; delta is a bitset
+over the analysis's one table of atoms, ``Atoms``.  Reference contents
 are typed through *internal variables*, one per allocation point; the
 current entry of an internal variable fuses the content's dependencies
 with the alias set of the location it stands for.  Abstractions get an
@@ -101,19 +102,31 @@ def show_atom(atom) -> str:
     return f"{subject}@{point}"
 
 
+class Atoms(Order):
+    """The atoms (subject, point) of one analysis, each numbered once, in
+    the order first met: a set of atoms is the bitset of their positions,
+    ``bit`` interns one and ``points_of`` decodes a bitset, lowest position
+    first.  The table only grows, so a bitset keeps its meaning; the run
+    ``check_soundness`` drives shares it."""
+
+    def mask(self, keep) -> int:
+        """The bits of the atoms whose subject ``keep`` accepts."""
+
+        bits = 0
+        for position, (subject, _) in enumerate(self.at):
+            if keep(subject):
+                bits |= 1 << position
+        return bits
+
+
 class Type:
     __slots__ = ()
 
 
 @dataclass(frozen=True)
 class Base(Type):
-    delta: frozenset = frozenset()
+    delta: int = 0  # a bitset over the analysis's Atoms
     kappa: frozenset = frozenset()
-
-    def __str__(self) -> str:
-        deltas = ", ".join(show_atom(a) for a in sorted(self.delta, key=atom_key))
-        kappas = ", ".join(str(s) for s in sorted(self.kappa, key=subject_key))
-        return f"({{{deltas}}}, {{{kappas}}})"
 
 
 # the type of every constant; immutable, so one instance serves them all
@@ -123,18 +136,32 @@ _NO_ORIGINS = Base()
 @dataclass(frozen=True)
 class Arrow(Type):
     origins: frozenset
-    pending: frozenset = frozenset()
-
-    def __str__(self) -> str:
-        origin_text = ",".join(str(p) for p in sorted(self.origins))
-        if not self.pending:
-            return f"fun[{origin_text}]"
-        pending_text = ", ".join(show_atom(a) for a in sorted(self.pending, key=atom_key))
-        return f"fun[{origin_text}]+{{{pending_text}}}"
+    pending: int = 0  # a bitset over the analysis's Atoms
 
 
-def push_atoms(ty: Type, atoms: frozenset) -> Type:
-    """Add atoms to a type where they will surface in a result."""
+def type_dict(ty: Type, atoms: Atoms) -> dict:
+    """A type as ``typecheck --json`` prints it, its atoms decoded from
+    ``atoms`` and sorted; ``show_type`` prints the same as text."""
+
+    def shown(bits: int) -> list:
+        return [show_atom(a) for a in sorted(atoms.points_of(bits), key=atom_key)]
+
+    if isinstance(ty, Base):
+        kappa = [str(s) for s in sorted(ty.kappa, key=subject_key)]
+        return {"kind": "base", "delta": shown(ty.delta), "kappa": kappa}
+    return {"kind": "arrow", "origins": sorted(ty.origins), "pending": shown(ty.pending)}
+
+
+def show_type(ty: Type, atoms: Atoms) -> str:
+    doc = type_dict(ty, atoms)
+    if doc["kind"] == "base":
+        return f"({{{', '.join(doc['delta'])}}}, {{{', '.join(doc['kappa'])}}})"
+    pending = f"+{{{', '.join(doc['pending'])}}}" if doc["pending"] else ""
+    return f"fun[{','.join(map(str, doc['origins']))}]{pending}"
+
+
+def push_atoms(ty: Type, atoms: int) -> Type:
+    """Add atoms (a bitset) to a type where they will surface in a result."""
 
     if not atoms:
         return ty
@@ -510,10 +537,11 @@ MUTATIONS = (
 class Analysis:
     """Everything the program's one checking walk produced: Γ, the type of
     every point it typed, the result type, and the flow facts recorded on
-    the way.  Pi is the visit order with its cover edges; the binding
-    sites are (name, binding point) pairs in evaluation order; each merge
-    (binder, internal variable) says the binder may denote that cell, and
-    the alias blocks are derived from the merges on first use."""
+    the way.  ``atoms`` numbers the atoms the types name.  Pi is the visit
+    order with its cover edges; the binding sites are (name, binding
+    point) pairs in evaluation order; each merge (binder, internal
+    variable) says the binder may denote that cell, and the alias blocks
+    are derived from the merges on first use."""
 
     program: Occurrence
     gamma: TypeEnv
@@ -522,6 +550,14 @@ class Analysis:
     pi: Pi
     binding_sites: tuple
     merges: tuple
+    atoms: Atoms
+
+    @cached_property
+    def entered(self) -> int:
+        """The bits of the internal-variable atoms Γ has an entry for."""
+
+        bit = self.atoms.bit
+        return sum(bit(key) for key in self.gamma.entries if isinstance(key[0], IVar))
 
     @cached_property
     def alias_blocks(self) -> dict:
@@ -582,6 +618,7 @@ class _Checker:
         self.mutation = mutation
         self.allow_free = allow_free
         self.gamma = TypeEnv()
+        self.atoms = Atoms()
         self.type_of: dict = {}
         self.lam_occ: dict = {}
         self.lam_scopes: dict = {}
@@ -605,6 +642,7 @@ class _Checker:
             pi=self.pi,
             binding_sites=tuple(self.sites),
             merges=tuple(self.merges),
+            atoms=self.atoms,
         )
 
     def check(self, occ: Occurrence, scope: dict) -> Type:
@@ -646,7 +684,7 @@ class _Checker:
                     ty = Base()
                 if self.mutation == "tvar-drop-atom":
                     return ty
-                return push_atoms(ty, frozenset({(name, p)}))
+                return push_atoms(ty, self.atoms.bit((name, p)))
 
             case Abstraction(_, _):
                 self.lam_occ[p] = occ
@@ -750,14 +788,14 @@ class _Checker:
 
             case Deref(ref):
                 ref_ty = self.check(ref, scope)
-                if isinstance(ref_ty, Arrow) or not any(
-                    isinstance(s, IVar) for s in ref_ty.kappa
-                ):
+                internals = () if isinstance(ref_ty, Arrow) else kappa_ivars(ref_ty)
+                if not internals:
                     raise NonReferenceDeref(p)
                 delta = ref_ty.delta
-                for internal in kappa_ivars(ref_ty):
-                    read = () if self.mutation == "trefread-drop-delta-prime" else ((internal, p),)
-                    delta = delta.union(self.gamma.current(internal).delta, read)
+                for internal in internals:
+                    delta |= self.gamma.current(internal).delta
+                    if self.mutation != "trefread-drop-delta-prime":
+                        delta |= self.atoms.bit((internal, p))
                 return Base(delta, frozenset())
 
             case Case(scrutinee, patterns, clauses):
@@ -845,8 +883,9 @@ def type_value(value, ty: Type, loc_origin: dict | None = None) -> bool:
     """Whether a runtime value inhabits a static type.
 
     Ground values need an alias-free base type; a location needs its
-    allocation point's internal variable in the alias set; a closure
-    needs its abstraction point among the arrow's origins.
+    allocation point's internal variable in the alias set, and must be
+    in ``loc_origin`` when given; a closure needs its abstraction point
+    among the arrow's origins.
     """
 
     if isinstance(value, Closure):
@@ -854,7 +893,7 @@ def type_value(value, ty: Type, loc_origin: dict | None = None) -> bool:
     if isinstance(value, Location):
         if not isinstance(ty, Base):
             return False
-        if loc_origin is not None and value in loc_origin:
-            return IVar(loc_origin[value]) in ty.kappa
+        if loc_origin is not None:  # a location no ref allocated inhabits no type
+            return value in loc_origin and IVar(loc_origin[value]) in ty.kappa
         return any(isinstance(s, IVar) for s in ty.kappa)
     return isinstance(ty, Base) and not ty.kappa

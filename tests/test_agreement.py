@@ -260,11 +260,11 @@ def _pinned_programs() -> tuple:
         ("tcase-drop-scrutinee", "40e86313285587d9"),
         ("trefread-drop-delta-prime", "5c6845b6eceb9eb8"),
         ("ghost-variable", "418ec8c682e2b98a"),
-        ("location-at-3", "3de03cee2e7fec6f"),
+        ("location-at-3", "2382013984cb9cf9"),
         ("ghost-atoms", "e67d894fd29669e4"),
-        ("location-content", "83589588dd13c220"),
+        ("location-content", "653a57391123511f"),
         ("first-cell-target", "dd598adf7c541636"),
-        ("location-bound", "fd26d2006a5dfc7f"),
+        ("location-bound", "3bb36952fa62a6ee"),
     ],
 )
 def test_reports_pinned(variant, digest):
@@ -273,7 +273,9 @@ def test_reports_pinned(variant, digest):
     recursive programs, unmutated, under each mutation and under each
     tamper, hash to the digests recorded before the judge checked the
     store and the environment per binding and read its blocks off the
-    merges."""
+    merges.  The three tampers that forge a location were re-recorded
+    when the covering test began refusing a location with no binding
+    point: their outcomes stayed, their alias witnesses did not."""
     rows = []
     for program in _pinned_programs():
         options: dict = {}
@@ -299,6 +301,28 @@ def test_any_value_tampered_into_a_location_ends_in_a_report():
 
     outcomes = {check_soundness(program, tamper=tamper).outcome for program in _pinned_programs()[:1000]}
     assert "fail" in outcomes
+
+
+def test_a_location_no_ref_allocated_never_passes():
+    """[DERIVED] A location no ``ref`` allocated, in place of whatever point
+    3 evaluates to, fails every corpus run that evaluates point 3: it has
+    no binding point, so no internal variable covers it, and it inhabits
+    no type once the run says where each location was allocated.  Before
+    both refused it, 126 of these 844 runs passed, among them
+    gen_program(3, 4), whose point 3 is the ``ref`` a function returns."""
+    outcomes: dict = {}
+    for program in _pinned_programs()[:1000]:
+        met = []
+
+        def tamper(occ, value, pair):
+            if occ.point == 3:
+                met.append(occ)
+                return Location(99), pair
+            return None
+
+        key = (check_soundness(program, tamper=tamper).outcome, bool(met))
+        outcomes[key] = outcomes.get(key, 0) + 1
+    assert outcomes == {("fail", True): 844, ("pass", False): 156}
 
 
 def _interpretation(subject, dep):
@@ -468,7 +492,7 @@ def test_tampered_content_fails_the_store_check(alias_chain):
     )
     assert report.clauses["alias"].witnesses == tuple(
         f"point {p}: no internal variable in kappa covers all binding points of loc5"
-        for p in (7, 10, 11, 12)
+        for p in (7, "8: loc0@8", 10, 11, 12)
     )
 
 

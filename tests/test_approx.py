@@ -149,21 +149,22 @@ HAND_PROGRAMS = (
 )
 
 
-def _type_row(ty) -> list:
+def _type_row(ty, table) -> list:
     if isinstance(ty, Base):
-        return ["base", sorted(atom_key(a) for a in ty.delta), sorted(subject_key(s) for s in ty.kappa)]
-    return ["arrow", sorted(ty.origins), sorted(atom_key(a) for a in ty.pending)]
+        return ["base", sorted(atom_key(a) for a in table.points_of(ty.delta)), sorted(subject_key(s) for s in ty.kappa)]
+    return ["arrow", sorted(ty.origins), sorted(atom_key(a) for a in table.points_of(ty.pending))]
 
 
 def _static_row(prog) -> list:
     analysis = typecheck(prog, allow_free=True)
+    table = analysis.atoms
     return [
         list(analysis.pi.visit),
         sorted(analysis.pi.edges),
         list(analysis.binding_sites),
         [sorted(subject_key(s) for s in block) for block in analysis.alias_base],
-        sorted([atom_key(atom), _type_row(ty)] for atom, ty in analysis.gamma.entries.items()),
-        sorted([point, _type_row(ty)] for point, ty in analysis.type_of.items()),
+        sorted([atom_key(atom), _type_row(ty, table)] for atom, ty in analysis.gamma.entries.items()),
+        sorted([point, _type_row(ty, table)] for point, ty in analysis.type_of.items()),
     ]
 
 

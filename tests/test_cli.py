@@ -390,6 +390,9 @@ DATA = Path(__file__).parent / "data"
         ("parse", "rebind.rf", "rebind.parse.json"),
         ("typecheck", "fork.rf", "fork.typecheck.json"),
         ("check", "fork.rf", "fork.check.json"),
+        ("typecheck", "twocell.rf", "twocell.typecheck.json"),
+        ("check", "twocell.rf", "twocell.check.json"),
+        ("nifc", "twocell.rf", "twocell.nifc.json"),
     ],
 )
 def test_recorded_json_outputs(command, source, recorded):
@@ -404,11 +407,15 @@ def test_recorded_json_outputs(command, source, recorded):
     form, shadows names and reads a free x_1, and typecheck --json and
     check --json on an application of a function with two origins
     (fork.rf: Pi forks into both bodies and joins after them, and Γ
-    merges the cell's per-body entries), print the bytes recorded in
+    merges the cell's per-body entries), and typecheck, check and nifc
+    --json on a write and reads through a case that yields one of two
+    cells (twocell.rf: the five-member block {p, r1, r2, v4, v7}, a read
+    v4@18, v7@18 of both cells, a write binding both, an arrow with a
+    pending atom, three flows of a high b), print the bytes recorded in
     tests/data; CI compares a fresh process against the same files."""
     argv = [*command.split(), "--json", str(DATA / source)]
     if command == "nifc":
-        argv += ["--labels", str(DATA / "cases8.labels")]
+        argv += ["--labels", str(DATA / source.replace(".rf", ".labels"))]
     code, out = run_cli(argv)
     assert code == (1 if command == "nifc" else 0)
     assert out == (DATA / recorded).read_text(encoding="utf-8")

@@ -158,10 +158,10 @@ def test_expansion_pulls_internal_entries():
     prog = parse(INDIRECT_FLOW_SRC)
     analysis = typecheck(prog, allow_free=True)
     read_ty = analysis.type_of[7]
-    direct = {subject for subject, _ in read_ty.delta}
+    direct = {subject for subject, _ in analysis.atoms.points_of(read_ty.delta)}
     assert IVar(2) in direct
-    expanded = expanded_origins(read_ty, analysis.gamma, analysis.pi, 7)
-    assert ("h", 4) in expanded
+    expanded = expanded_origins(read_ty, analysis, 7)
+    assert ("h", 4) in analysis.atoms.points_of(expanded)
 
 
 def test_expansion_skips_entries_bound_after_the_binding():
@@ -169,12 +169,13 @@ def test_expansion_skips_entries_bound_after_the_binding():
     h@4; an origin set naming that entry expands through it for a
     binding at 7, after the write, but not for one at 2, before it."""
     analysis = typecheck(parse(INDIRECT_FLOW_SRC), allow_free=True)
-    at_write = Base(frozenset({(IVar(2), 5)}))
-    assert ("h", 4) in analysis.gamma.at(IVar(2), 5).delta
-    after = expanded_origins(at_write, analysis.gamma, analysis.pi, 7)
-    assert ("h", 4) in after
-    before = expanded_origins(at_write, analysis.gamma, analysis.pi, 2)
-    assert before == {(IVar(2), 5)}
+    decode = analysis.atoms.points_of
+    at_write = Base(analysis.atoms.bit((IVar(2), 5)))
+    assert ("h", 4) in decode(analysis.gamma.at(IVar(2), 5).delta)
+    after = expanded_origins(at_write, analysis, 7)
+    assert ("h", 4) in decode(after)
+    before = expanded_origins(at_write, analysis, 2)
+    assert set(decode(before)) == {(IVar(2), 5)}
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +239,7 @@ def test_nifc_verdicts_pinned():
         analysis = typecheck(prog, allow_free=True)
         for binder, binding in analysis.binding_sites:
             if level_of(labeling, binder) == LOW:
-                reach = expanded_origins(analysis.type_of[binding], analysis.gamma, analysis.pi, binding)
+                reach = analysis.atoms.points_of(expanded_origins(analysis.type_of[binding], analysis, binding))
                 origins.append([binder, binding, [show_atom(atom) for atom in sorted(reach, key=atom_key)]])
     assert hashlib.sha256(json.dumps(verdicts).encode()).hexdigest()[:16] == "ef9a0908d9c649e4"
     assert hashlib.sha256(json.dumps(origins).encode()).hexdigest()[:16] == "d6f246f0deb69254"

@@ -37,8 +37,10 @@ from refflow.syntax import (
     parse,
 )
 from refflow.typesys import (
+    MUTATIONS,
     AbstractionInRef,
     Arrow,
+    Atoms,
     Base,
     IVar,
     LinearityViolation,
@@ -50,12 +52,20 @@ from refflow.typesys import (
     ip_type,
     linear_use_check,
     subject_key,
+    type_dict,
     type_union,
     type_value,
     typecheck,
 )
 
-from conftest import ALIAS_CHAIN_SRC, RECURSIVE_SRCS, cases_source
+from conftest import (
+    ALIAS_CHAIN_SRC,
+    DIRECT_FLOW_SRC,
+    INDIRECT_FLOW_SRC,
+    NO_FLOW_SRC,
+    RECURSIVE_SRCS,
+    cases_source,
+)
 from reference import Pi as ReferencePi
 from reference import UnknownPoint, _reduced_predecessors, p_chains
 from reference import ip_type as reference_ip_type
@@ -66,6 +76,19 @@ V2 = IVar(2)
 
 def atoms(*pairs):
     return frozenset(pairs)
+
+
+def bits(table, *pairs) -> int:
+    """The bitset of the atoms in ``table``, interning any it lacks."""
+    return sum({table.bit(pair) for pair in pairs})
+
+
+def decoded(analysis, ty):
+    """``ty`` with its atom bitset decoded through the analysis's table
+    into the frozenset of atoms it stands for."""
+    if isinstance(ty, Base):
+        return Base(frozenset(analysis.atoms.points_of(ty.delta)), ty.kappa)
+    return Arrow(ty.origins, frozenset(analysis.atoms.points_of(ty.pending)))
 
 
 def test_internal_variables_are_one_per_point():
@@ -91,7 +114,7 @@ def test_reference_program_result_type(alias_chain):
     write's source, and the deref-site internal occurrence; the result
     is a number, so kappa is empty."""
     analysis = typecheck(alias_chain)
-    assert analysis.result_type == Base(
+    assert decoded(analysis, analysis.result_type) == Base(
         atoms(("x", 5), ("x", 6), ("z", 7), (V2, 10)), frozenset()
     )
 
@@ -100,7 +123,7 @@ def test_reference_program_gamma(alias_chain):
     """[DERIVED] The environment holds exactly five entries: the cell at
     its birth and at its rewrite, and the three let binders."""
     analysis = typecheck(alias_chain)
-    assert analysis.gamma.entries == {
+    assert {key: decoded(analysis, ty) for key, ty in analysis.gamma.entries.items()} == {
         (V2, 2): Base(frozenset(), frozenset({V2})),
         ("x", 12): Base(frozenset(), frozenset({V2, "x"})),
         ("z", 9): Base(frozenset(), frozenset()),
@@ -113,9 +136,9 @@ def test_reference_program_per_point_types(alias_chain):
     """[DERIVED] Spot-checks of the per-point table: the uses of x carry
     the alias pair, the write carries its target's footprint."""
     analysis = typecheck(alias_chain)
-    assert analysis.type_of[5] == Base(atoms(("x", 5)), frozenset({"x", V2}))
-    assert analysis.type_of[7] == Base(atoms(("z", 7)), frozenset())
-    assert analysis.type_of[8] == Base(atoms(("x", 5)), frozenset())
+    assert decoded(analysis, analysis.type_of[5]) == Base(atoms(("x", 5)), frozenset({"x", V2}))
+    assert decoded(analysis, analysis.type_of[7]) == Base(atoms(("z", 7)), frozenset())
+    assert decoded(analysis, analysis.type_of[8]) == Base(atoms(("x", 5)), frozenset())
     assert analysis.type_of[10] == analysis.result_type
 
 
@@ -123,7 +146,7 @@ def test_var_use_joins_entry_and_occurrence():
     """[PAPER] A variable use is its entry's type joined with its own
     occurrence."""
     analysis = typecheck(parse("(let x (y@1)@2 (x@3)@4)@5"), allow_free=True)
-    assert analysis.type_of[3] == Base(atoms(("y", 1), ("x", 3)), frozenset())
+    assert decoded(analysis, analysis.type_of[3]) == Base(atoms(("y", 1), ("x", 3)), frozenset())
 
 
 def test_case_over_approximates_clauses():
@@ -131,12 +154,12 @@ def test_case_over_approximates_clauses():
     scrutinee's footprint."""
     src = "(let s (4@1)@2 (case (s@3)@4 [0 -> (7@5)@6, n -> (n@7)@8])@9)@10"
     analysis = typecheck(parse(src))
-    case_ty = analysis.type_of[9]
+    case_ty = decoded(analysis, analysis.type_of[9])
     for clause_point in (6, 8):
-        clause_ty = analysis.type_of[clause_point]
+        clause_ty = decoded(analysis, analysis.type_of[clause_point])
         assert clause_ty.delta <= case_ty.delta
         assert clause_ty.kappa <= case_ty.kappa
-    assert analysis.type_of[3].delta <= case_ty.delta
+    assert decoded(analysis, analysis.type_of[3]).delta <= case_ty.delta
 
 
 # ---------------------------------------------------------------------------
@@ -146,16 +169,18 @@ def test_case_over_approximates_clauses():
 
 def test_union_is_componentwise_on_base():
     """[DERIVED] Base unions join both components."""
-    a = Base(atoms(("x", 1)), frozenset({"x"}))
-    b = Base(atoms(("y", 2)), frozenset({V2}))
-    assert type_union(a, b, 0) == Base(atoms(("x", 1), ("y", 2)), frozenset({"x", V2}))
+    table = Atoms()
+    a = Base(bits(table, ("x", 1)), frozenset({"x"}))
+    b = Base(bits(table, ("y", 2)), frozenset({V2}))
+    assert type_union(a, b, 0) == Base(bits(table, ("x", 1), ("y", 2)), frozenset({"x", V2}))
 
 
 def test_union_of_arrows_joins_origins_and_pending():
     """[DERIVED] Arrow unions keep every origin and every pending atom."""
-    a = Arrow(frozenset({2}), atoms(("x", 1)))
-    b = Arrow(frozenset({5}), atoms(("y", 3)))
-    assert type_union(a, b, 0) == Arrow(frozenset({2, 5}), atoms(("x", 1), ("y", 3)))
+    table = Atoms()
+    a = Arrow(frozenset({2}), bits(table, ("x", 1)))
+    b = Arrow(frozenset({5}), bits(table, ("y", 3)))
+    assert type_union(a, b, 0) == Arrow(frozenset({2, 5}), bits(table, ("x", 1), ("y", 3)))
 
 
 def test_union_of_mixed_shapes_is_undefined():
@@ -173,7 +198,8 @@ def test_union_of_mixed_shapes_is_undefined():
 def test_union_laws(d1, d2, d3):
     """[DERIVED] Union is commutative, associative, idempotent on
     same-shape types."""
-    a, b, c = (Base(frozenset(d)) for d in (d1, d2, d3))
+    table = Atoms()
+    a, b, c = (Base(bits(table, *d)) for d in (d1, d2, d3))
     assert type_union(a, b, 0) == type_union(b, a, 0)
     assert type_union(type_union(a, b, 0), c, 0) == type_union(a, type_union(b, c, 0), 0)
     assert type_union(a, a, 0) == a
@@ -205,7 +231,7 @@ def test_ip_type_single_chain():
     the query point."""
     gamma = TypeEnv()
     gamma.bind(V2, 2, Base())
-    gamma.bind(V2, 8, Base(atoms(("z", 7))))
+    gamma.bind(V2, 8, Base(bits(Atoms(), ("z", 7))))
     pi = Pi((2, 8, 10), frozenset({(2, 8), (8, 10)}))
     assert ip_type(V2, gamma, pi, at=10) == frozenset({(V2, 8)})
 
@@ -428,7 +454,7 @@ def test_bound_points_is_a_snapshot():
     gamma.bind(V2, 2, Base())
     before = gamma.bound_points(V2)
     gamma.bind(V2, 8, Base())
-    gamma.bind(V2, 2, Base(atoms(("z", 7))))
+    gamma.bind(V2, 2, Base(bits(Atoms(), ("z", 7))))
     assert isinstance(before, frozenset) and before == frozenset({2})
     assert gamma.bound_points(V2) == frozenset({2, 8})
 
@@ -452,10 +478,21 @@ def test_backward_edge_raises():
 def test_type_value_constants_and_locations():
     """[PAPER] Constants admit any Base with empty kappa; locations
     require kappa nonempty."""
-    assert type_value(5, Base(atoms(("x", 1)), frozenset()))
-    assert not type_value(5, Base(frozenset(), frozenset({V2})))
-    assert not type_value(Location(0), Base(frozenset(), frozenset()))
-    assert type_value(Location(0), Base(frozenset(), frozenset({V2})))
+    assert type_value(5, Base(bits(Atoms(), ("x", 1)), frozenset()))
+    assert not type_value(5, Base(0, frozenset({V2})))
+    assert not type_value(Location(0), Base(0, frozenset()))
+    assert type_value(Location(0), Base(0, frozenset({V2})))
+
+
+def test_type_value_refuses_a_location_no_ref_allocated():
+    """[DERIVED] Given where each location was allocated, a location
+    needs its own allocation point's internal variable in kappa, and one
+    that no ref allocated inhabits no type, whatever kappa names."""
+    ty = Base(0, frozenset({V2}))
+    assert type_value(Location(0), ty, {Location(0): 2})
+    assert not type_value(Location(0), ty, {Location(0): 5})
+    assert not type_value(Location(99), ty, {Location(0): 2})
+    assert not type_value(Location(99), ty, {})
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +693,7 @@ def test_free_variables_need_allow_free():
     with pytest.raises(UnboundName):
         typecheck(prog)
     analysis = typecheck(prog, allow_free=True)
-    assert analysis.type_of[1] == Base(atoms(("h", 1)), frozenset())
+    assert decoded(analysis, analysis.type_of[1]) == Base(atoms(("h", 1)), frozenset())
 
 
 def test_wrapping_in_unused_let_preserves_result_type(alias_chain):
@@ -678,7 +715,7 @@ def test_mutations_change_the_analysis(alias_chain):
 
     baseline = typecheck(alias_chain)
     tvar = typecheck(alias_chain, "tvar-drop-atom")
-    assert ("x", 5) not in tvar.type_of[5].delta
+    assert ("x", 5) not in decoded(tvar, tvar.type_of[5]).delta
     # Dropping kappa at the let makes the later write through x look
     # like a write through a number, so the program is now rejected.
     with pytest.raises(NonReferenceAssign):
@@ -688,7 +725,7 @@ def test_mutations_change_the_analysis(alias_chain):
     assert typecheck(plain_ref).gamma.entries[("x", 5)].kappa
     assert tlet.gamma.entries[("x", 5)].kappa == frozenset()
     tref = typecheck(alias_chain, "trefread-drop-delta-prime")
-    assert tref.type_of[10].delta < baseline.type_of[10].delta
+    assert decoded(tref, tref.type_of[10]).delta < decoded(baseline, baseline.type_of[10]).delta
 
 
 def test_tcase_mutation_drops_scrutinee():
@@ -698,5 +735,68 @@ def test_tcase_mutation_drops_scrutinee():
     prog = parse(src)
     baseline = typecheck(prog)
     mutated = typecheck(prog, "tcase-drop-scrutinee")
-    assert ("s", 3) in baseline.type_of[9].delta
-    assert ("s", 3) not in mutated.type_of[9].delta
+    assert ("s", 3) in decoded(baseline, baseline.type_of[9]).delta
+    assert ("s", 3) not in decoded(mutated, mutated.type_of[9]).delta
+
+
+# ---------------------------------------------------------------------------
+# Every type, pinned
+# ---------------------------------------------------------------------------
+
+
+def _typed_programs() -> list:
+    """The corpus, cases(4/8/20), the recursive programs, every program
+    under tests/data, and programs that read a free h: the flow examples
+    and cases(20) with h left unbound."""
+    sources = [gen_program(seed, 1 + seed % 30) for seed in range(1000)]
+    sources += [parse(cases_source(n)) for n in (4, 8, 20)]
+    sources += [parse(src) for src in (DIRECT_FLOW_SRC, NO_FLOW_SRC, INDIRECT_FLOW_SRC)]
+    sources.append(parse(cases_source(20)[cases_source(20).index("(let r"):-1]))
+    sources += [parse(src) for src in RECURSIVE_SRCS]
+    sources += [parse(path.read_text(encoding="utf-8"))
+                for path in sorted((Path(__file__).parent / "data").glob("*.rf"))]
+    return sources
+
+
+def _type_rows(analysis) -> dict:
+    """Every type of the analysis, rendered as ``typecheck --json``
+    renders it."""
+
+    def show(ty):
+        return type_dict(ty, analysis.atoms)
+
+    gamma = sorted(analysis.gamma.entries.items(), key=lambda item: (subject_key(item[0][0]), item[0][1]))
+    return {
+        "result": show(analysis.result_type),
+        "types": {str(point): show(ty) for point, ty in sorted(analysis.type_of.items())},
+        "gamma": [{"subject": str(subject), "point": point, "type": show(ty)} for (subject, point), ty in gamma],
+    }
+
+
+@pytest.mark.parametrize(
+    "variant, digest",
+    [
+        ("none", "6fb7ac4e6de20700"),
+        ("tvar-drop-atom", "a0815dc669ecedb0"),
+        ("tlet1-drop-kappa", "16348110bbe0d1ba"),
+        ("tcase-drop-scrutinee", "e9194dec27512c6d"),
+        ("trefread-drop-delta-prime", "153b53c423942822"),
+        ("allow-free", "52e603b25ea04c2b"),
+    ],
+)
+def test_types_pinned(variant, digest):
+    """[DERIVED] Every type of every point, every Γ entry and the result
+    type, each from a fresh typecheck, over the corpus, cases(4/8/20), the
+    recursive programs and tests/data, unmutated, under each mutation and
+    with free names allowed (a rejection recorded as its message), hash
+    to the digests recorded while the dependency sets were frozensets of
+    atoms."""
+    options = {"allow_free": True} if variant == "allow-free" else {}
+    mutation = variant if variant in MUTATIONS else None
+    rows = []
+    for program in _typed_programs():
+        try:
+            rows.append(_type_rows(typecheck(program, mutation, **options)))
+        except TypeCheckError as err:
+            rows.append(str(err))
+    assert hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()[:16] == digest
