@@ -15,7 +15,6 @@ hand in the test modules and asserted exactly.
 from __future__ import annotations
 
 import os
-import random
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +23,10 @@ import pytest
 
 import refflow
 from refflow.syntax import parse
+
+# The test modules import ``cases_source`` from tools/families.py, which
+# tools/scale.py shares.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 ALIAS_CHAIN_SRC = (
     "(let x (ref 4@1)@2"
@@ -61,17 +64,6 @@ RECURSIVE_SRCS = (
     r"(let r (ref 1) (let rec g (λn. (case n [0 -> (! r),"
     r" m -> (let k (r := (* (! r) m)) (g (- m 1)))])) (g 5)))",
 )
-
-
-def cases_source(n: int) -> str:
-    """n sequential two-arm cases over one cell, each arm writing it."""
-    rng = random.Random(n)
-    arms = "".join(
-        f"(let c{i} (case (! r) [0 -> (r := {rng.randint(0, 9)}),"
-        f" _ -> (r := (+ (! r) {rng.randint(1, 9)}))]) "
-        for i in range(1, n + 1)
-    )
-    return f"(let h {rng.randint(1, 9)} (let r (ref h) " + arms + "(! r)" + ")" * (n + 2)
 
 
 @pytest.fixture

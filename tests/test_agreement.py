@@ -23,7 +23,8 @@ from refflow.semantics import AmbiguousPredecessor, DepPair, DepState, Location,
 from refflow.syntax import Assign, Let, Ref, Variable, _children, free_vars, parse, pretty
 from refflow.typesys import MUTATIONS, TypeCheckError, typecheck
 
-from conftest import RECURSIVE_SRCS, cases_source
+from conftest import RECURSIVE_SRCS
+from families import cases_source
 
 
 # ---------------------------------------------------------------------------

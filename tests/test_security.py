@@ -29,7 +29,8 @@ from refflow.security import (
 from refflow.syntax import parse
 from refflow.typesys import Base, IVar, Pi, atom_key, show_atom, typecheck
 
-from conftest import DIRECT_FLOW_SRC, INDIRECT_FLOW_SRC, NO_FLOW_SRC, cases_source
+from conftest import DIRECT_FLOW_SRC, INDIRECT_FLOW_SRC, NO_FLOW_SRC
+from families import cases_source
 
 H_HIGH = {"h": HIGH}
 

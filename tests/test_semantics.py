@@ -36,7 +36,8 @@ from refflow.semantics import (
 from refflow.syntax import PBool, PNat, PTuple, PVar, PWildcard, parse
 
 import reference
-from conftest import RECURSIVE_SRCS, cases_source
+from conftest import RECURSIVE_SRCS
+from families import cases_source
 
 LOC0 = Location(0)
 

@@ -64,8 +64,8 @@ from conftest import (
     INDIRECT_FLOW_SRC,
     NO_FLOW_SRC,
     RECURSIVE_SRCS,
-    cases_source,
 )
+from families import cases_source
 from reference import Pi as ReferencePi
 from reference import UnknownPoint, _reduced_predecessors, p_chains
 from reference import ip_type as reference_ip_type

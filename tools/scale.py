@@ -1,6 +1,6 @@
 """Scale record: each layer's seconds and peak traced memory at doubling sizes.
 
-    PYTHONPATH=src python3 tools/scale.py [--out BENCH_scale.json] [--repeat 2]
+    PYTHONPATH=src python3 tools/scale.py [--out BENCH_scale.json]
 
 Two program families, each at doubling sizes:
 
@@ -8,12 +8,13 @@ Two program families, each at doubling sizes:
   ``(let r (ref 0) (let a1 (r := (+ (! r) 1)) … (! r)))``; nifc runs with
   no labels;
 * ``cases(n)``, n = 20 … 320: n sequential two-arm cases over one cell,
-  each arm writing it, as ``tests/conftest.cases_source`` builds them;
-  nifc runs with ``h = high``.
+  each arm writing it; nifc runs with ``h = high``.
+
+Both sources come from ``tools/families.py``, which the tests share.
 
 The layers are parse, typecheck, evaluate, check_soundness (typecheck,
 the run and the judge) and nifc (typecheck and the check), each from the
-parsed program.  A layer's seconds are the best of ``--repeat`` runs; its
+parsed program.  A layer's seconds are the best of ``REPEAT`` runs; its
 peak is the largest block of memory tracemalloc saw in use during one
 more run, traced on its own.  The exponent is the least-squares slope of
 log seconds on log n.  Everything runs in one worker thread with a large
@@ -27,7 +28,6 @@ import argparse
 import json
 import math
 import platform
-import random
 import sys
 import threading
 import time
@@ -39,25 +39,11 @@ from refflow.semantics import evaluate
 from refflow.syntax import all_points, parse
 from refflow.typesys import typecheck
 
+from families import cases_source, chain_source
+
 SIZES = {"chain": (100, 200, 400, 800, 1600), "cases": (20, 40, 80, 160, 320)}
 LABELS = {"chain": {}, "cases": {"h": "high"}}
-
-
-def chain_source(n: int) -> str:
-    lets = "".join(f"(let a{i} (r := (+ (! r) {i})) " for i in range(1, n + 1))
-    return "(let r (ref 0) " + lets + "(! r)" + ")" * (n + 1)
-
-
-def cases_source(n: int) -> str:
-    rng = random.Random(n)
-    arms = "".join(
-        f"(let c{i} (case (! r) [0 -> (r := {rng.randint(0, 9)}),"
-        f" _ -> (r := (+ (! r) {rng.randint(1, 9)}))]) "
-        for i in range(1, n + 1)
-    )
-    return f"(let h {rng.randint(1, 9)} (let r (ref h) " + arms + "(! r)" + ")" * (n + 2)
-
-
+REPEAT = 2
 SOURCES = {"chain": chain_source, "cases": cases_source}
 
 
@@ -72,9 +58,9 @@ def layers(source: str, labels: dict) -> dict:
     }
 
 
-def seconds(run, repeat: int) -> float:
+def seconds(run) -> float:
     best = math.inf
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         start = time.perf_counter()
         run()
         best = min(best, time.perf_counter() - start)
@@ -100,8 +86,8 @@ def slope(sizes, values) -> float | None:
     return round(sum((x - mx) * (y - my) for x, y in pairs) / var, 3)
 
 
-def record(repeat: int) -> dict:
-    out: dict = {"python": platform.python_version(), "repeat": repeat}
+def record() -> dict:
+    out: dict = {"python": platform.python_version(), "repeat": REPEAT}
     for family, sizes in SIZES.items():
         table: dict = {"points": {}}
         for n in sizes:
@@ -109,7 +95,7 @@ def record(repeat: int) -> dict:
             table["points"][str(n)] = len(all_points(parse(source)))
             for layer, run in layers(source, LABELS[family]).items():
                 row = table.setdefault(layer, {"s": {}, "peak_mb": {}})
-                row["s"][str(n)] = round(seconds(run, repeat), 4)
+                row["s"][str(n)] = round(seconds(run), 4)
                 row["peak_mb"][str(n)] = round(peak_mb(run), 2)
                 print(f"{family}({n}) {layer}: {row['s'][str(n)]} s, {row['peak_mb'][str(n)]} MB",
                       file=sys.stderr, flush=True)
@@ -123,13 +109,12 @@ def record(repeat: int) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--out", default="BENCH_scale.json")
-    parser.add_argument("--repeat", type=int, default=2)
     args = parser.parse_args(argv)
     result: dict = {}
 
     def work():
         sys.setrecursionlimit(200_000)
-        result["record"] = record(max(1, args.repeat))
+        result["record"] = record()
 
     threading.stack_size(512 * 2**20)
     worker = threading.Thread(target=work)
