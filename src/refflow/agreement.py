@@ -45,6 +45,7 @@ import random
 from dataclasses import dataclass, field
 
 from .semantics import (
+    Closure,
     DepPair,
     DepState,
     EvalBudgetExceeded,
@@ -53,7 +54,7 @@ from .semantics import (
     evaluate,
     ip_sem,
 )
-from .syntax import Occurrence, free_name_table, parse
+from .syntax import Occurrence, occurs_free, parse
 from .typesys import (
     Analysis,
     Arrow,
@@ -168,8 +169,22 @@ class _Judge:
 
     Besides per-program indices it keeps only what the bind events
     announced: the (name, binding point) pairs no end event has checked
-    yet, the pairs bound to each location, which give its holders, and
-    the writes since the store was last checked.
+    yet, the pairs bound to each location, which give its holders, the
+    names bound so far, and the writes since the store was last checked.
+
+    Each bind of a name counts the frames on the stack as the binding
+    lemma's checks, but tests them, with ``occurs_free`` in stack order,
+    only when (a) the walk's binding sites name a binder twice, (b) this
+    run has bound the name before, or (c) the tamper has returned a
+    closure in place of another value.  No other check can fail.  The
+    program is closed, so without (a) a frame where the name is free lies
+    in the scope of the binder binding it now.  A scope is entered only
+    after its binder binds (a let rec's bound, evaluated first, has ended
+    by then), or through a closure that an abstraction inside the scope
+    made, after that.  So the name was bound before, which is (b), unless
+    the closure was forged, which is (c).  Re-entering a running body,
+    which the type system rejects (``RecursiveApplication``), binds again
+    too.
     """
 
     def __init__(self, analysis: Analysis, report: AgreementReport):
@@ -183,8 +198,10 @@ class _Judge:
         self.ivars = tuple(sorted((s for s in self.gamma.subjects() if isinstance(s, IVar)), key=subject_key))
         self.blocks = dict(analysis.alias_blocks)  # singletons join on first use
         self._masks: dict = {}  # a block, or IVar -> the bits of its subjects' atoms
-        self.fv_table = free_name_table(analysis.program)
-        self.stack: list = []
+        names = [name for name, _ in analysis.binding_sites]
+        self.scan_all = len(set(names)) < len(names)  # (a), and (c) once a tamper forges
+        self._names: set = set()  # (b): the names bound so far
+        self.stack: list = []  # the occurrences being evaluated, outermost first
         self.env: dict = {}  # the environment of the latest end event
         self._locations: dict = {}  # location atoms -> their distinct locations
         self._holding: dict = {}  # location -> (name, binding point) pairs bound to it
@@ -407,6 +424,18 @@ class _Judge:
                 f"{location} interpreted at {sem_point}, not among chain-wise interpretations",
             )
 
+    def watch(self, tamper):
+        """``tamper``, setting ``scan_all`` once it returns a closure other
+        than the value the run gave the occurrence."""
+
+        def watched(occ, value, pair):
+            swapped = tamper(occ, value, pair)
+            if swapped is not None and swapped[0] is not value and isinstance(swapped[0], Closure):
+                self.scan_all = True
+            return swapped
+
+        return watched
+
     # -- event hook ------------------------------------------------------------
 
     def on_step(self, kind, occ, env, value, pair, dep):
@@ -414,7 +443,7 @@ class _Judge:
         ``occ`` and ``env`` are the bound subject and its binding point."""
 
         if kind == "begin":
-            self.stack.append(occ.point)
+            self.stack.append(occ)
             return
         if kind == "bind":
             subject, point = occ, env
@@ -428,9 +457,11 @@ class _Judge:
                 self._holding.setdefault(value, set()).add(key)
             lemma = self.report.binding_lemma
             lemma.activity += len(self.stack)
-            for frame in self.stack:
-                if subject in self.fv_table.get(frame, ()):
-                    lemma.fail(f"{subject} bound during evaluation of point {frame} where it is free")
+            if self.scan_all or subject in self._names:
+                for frame in self.stack:
+                    if occurs_free(subject, frame):
+                        lemma.fail(f"{subject} bound during evaluation of point {frame.point} where it is free")
+            self._names.add(subject)
             return
         # end event
         if self.stack:
@@ -476,6 +507,8 @@ def check_soundness(
     analysis = typecheck(program, mutation)
     report = AgreementReport()
     judge = _Judge(analysis, report)
+    if tamper is not None:
+        tamper = judge.watch(tamper)
     try:
         outcome = evaluate(
             program, budget=budget, on_step=judge.on_step, tamper=tamper,

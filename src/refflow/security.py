@@ -4,15 +4,15 @@ Every variable carries a security level, ``high`` or ``low``; names the
 labeling does not mention are low.  A program is accepted when nothing a
 high variable ever held can reach the binding of a low variable.  The
 check runs entirely on analysis output: a low binding is compromised
-when the tracked origin set of the expression it binds, expanded
-transitively through the internal variables' recorded entries, contains
-an occurrence of a high variable.
+when the tracked origin set of the expression it binds contains an
+occurrence of a high variable.  What flowed through the store is in it
+already: the checking walk adds a cell's entry to the origin set of
+every read of the cell.
 
 The verdict is computed twice, from two readings of the same data:
 
 * the origin reading takes each low binding's origin set, a bitset over
-  the analysis's atoms, closed through the entries of the internal
-  variables it names, and masks it with the bits of the high atoms;
+  the analysis's atoms, and masks it with the bits of the high atoms;
 * the chain reading additionally demands that the order relation place
   the high occurrence at or before the low binding: one read of the
   binding's ancestor bitset in Pi per low binding, then one bit test
@@ -179,39 +179,14 @@ class NoninterferenceVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _origins_of(ty: Type) -> int:
+def expanded_origins(ty: Type) -> int:
+    """The origin set of ``ty``, a bitset over the analysis's atoms.
+
+    Nothing needs expanding: a read's delta already holds the cell's
+    entry at the read, and the internal-variable atom it adds names the
+    read's own point, where Γ binds nothing."""
+
     return ty.delta if isinstance(ty, Base) else ty.pending
-
-
-def expanded_origins(ty: Type, analysis: Analysis, binding: int) -> int:
-    """The origin set of ``ty`` (a bitset over ``analysis.atoms``) closed
-    transitively through the Γ entries of internal variables bound at or
-    before ``binding``.
-
-    Only atoms with an entry (``analysis.entered``) are expanded, each
-    once, and an entry adds only atoms not seen yet.  A read's atom names
-    the read's point, where Γ binds nothing, so on a checked program the
-    origin set itself comes back."""
-
-    origins = seen = _origins_of(ty)
-    entered = analysis.entered
-    frontier = origins & entered
-    if not frontier:
-        return origins
-    index, anc = analysis.pi.reach
-    bits = anc.get(binding, 0)
-    entries, at = analysis.gamma.entries, analysis.atoms.at
-    while frontier:
-        low = frontier & -frontier
-        frontier ^= low
-        atom = at[low.bit_length() - 1]
-        point = atom[1]
-        if point != binding and not (point in index and bits >> index[point] & 1):
-            continue
-        new = _origins_of(entries[atom]) & ~seen
-        seen |= new
-        frontier |= new & entered
-    return seen
 
 
 def check_noninterference(program: Occurrence, labeling: dict) -> NoninterferenceVerdict:
@@ -221,7 +196,7 @@ def check_noninterference(program: Occurrence, labeling: dict) -> Noninterferenc
 
     A binder is a sink when its level is ``low``, an atom a source when
     its subject's level is ``high``.  The origin reading costs one mask
-    of each sink's expanded origin set with the high atoms' bits, and
+    of each sink's origin set with the high atoms' bits, and
     decodes only the sources found; the chain reading one bit test per
     flow against the sink's ancestor bitset in Pi.  The flows are sorted
     once, as plain keys."""
@@ -231,14 +206,14 @@ def check_noninterference(program: Occurrence, labeling: dict) -> Noninterferenc
     high = {name for name, level in labeling.items() if level == HIGH}
     # an internal variable equals no name, so it is never high
     high_bits = table.mask(high.__contains__)
-    if not high_bits:  # every atom an expansion reaches is in the table
+    if not high_bits:  # every atom an origin set names is in the table
         return NoninterferenceVerdict()
     keys = []
     for site in analysis.binding_sites:
         binder, binding = site
         if level_of(labeling, binder) != LOW:
             continue
-        sources = expanded_origins(type_of[binding], analysis, binding) & high_bits
+        sources = expanded_origins(type_of[binding]) & high_bits
         if sources:
             index, anc = analysis.pi.reach
             bits = anc.get(binding, 0)

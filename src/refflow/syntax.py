@@ -623,49 +623,43 @@ def parse(source: str) -> Occurrence:
     return tree
 
 
-def _free_in(occ: Occurrence, table: dict) -> frozenset:
-    expr = occ.expr
-    match expr:
-        case Variable(name):
-            fv = frozenset({name})
-        case Abstraction(param, body):
-            fv = _free_in(body, table) - {param}
-        case Let(name, bound, body):
-            fv = _free_in(bound, table) | (_free_in(body, table) - {name})
-        case LetRec(name, bound, body):
-            fv = (_free_in(bound, table) | _free_in(body, table)) - {name}
-        case Application(a, b) | FunctionalApplication(_, a, b) | Assign(a, b):
-            fv = _free_in(a, table) | _free_in(b, table)
-        case Case(scrutinee, patterns, clauses):
-            fv = _free_in(scrutinee, table)
-            for pattern, clause in zip(patterns, clauses):
-                clause_fv = _free_in(clause, table)
-                fv = fv | (clause_fv - {pattern.name} if isinstance(pattern, PVar) else clause_fv)
-        case Ref(inner) | Deref(inner) | Group(inner):
-            fv = _free_in(inner, table)
-        case _:
-            fv = frozenset()
-    table[occ.point] = fv
-    return fv
-
-
 # ---------------------------------------------------------------------------
 # Queries and printing
 # ---------------------------------------------------------------------------
 
 
-def free_name_table(occ: Occurrence) -> dict:
-    """The names occurring free in each subterm, by the subterm's point."""
+def occurs_free(name: str, occ: Occurrence) -> bool:
+    """Whether ``name`` occurs free in the occurrence: one walk with a
+    stack, which skips whatever a binder of ``name`` scopes over (a let's
+    body, a let rec's bound and body, an abstraction's body, the clause
+    of a case's variable pattern)."""
 
-    table: dict = {}
-    _free_in(occ, table)
-    return table
-
-
-def free_vars(occ: Occurrence) -> frozenset:
-    """Names that occur free in the occurrence."""
-
-    return free_name_table(occ)[occ.point]
+    stack = [occ]
+    while stack:
+        expr = stack.pop().expr
+        match expr:
+            case Variable(found):
+                if found == name:
+                    return True
+            case Abstraction(param, body):
+                if param != name:
+                    stack.append(body)
+            case Let(bound_name, bound, body):
+                stack.append(bound)
+                if bound_name != name:
+                    stack.append(body)
+            case LetRec(bound_name, bound, body):
+                if bound_name != name:
+                    stack += (bound, body)
+            case Case(scrutinee, patterns, clauses):
+                stack.append(scrutinee)
+                stack += (
+                    clause for pattern, clause in zip(patterns, clauses)
+                    if not (isinstance(pattern, PVar) and pattern.name == name)
+                )
+            case _:
+                stack += _children(expr)
+    return False
 
 
 def all_points(occ: Occurrence) -> frozenset:

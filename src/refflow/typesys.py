@@ -553,13 +553,6 @@ class Analysis:
     atoms: Atoms
 
     @cached_property
-    def entered(self) -> int:
-        """The bits of the internal-variable atoms Γ has an entry for."""
-
-        bit = self.atoms.bit
-        return sum(bit(key) for key in self.gamma.entries if isinstance(key[0], IVar))
-
-    @cached_property
     def alias_blocks(self) -> dict:
         """Each subject some merge touches, with its alias block.
 

@@ -23,15 +23,41 @@ and walks those.
 reduction ``_reduced_predecessors`` gives; the chain-wise tests of
 ``ip_type`` compare against it.  Both read the library's Pi, its
 ``into`` keys being the points some edge enters.
+
+``free_name_table`` builds the free names of every subterm, by point,
+in one recursive walk, and ``binding_lemma`` tests every frame on the
+stack against it at every bind; the library's judge tests a frame, with
+``occurs_free``, only where the lemma can fail.
+
+``expanded_origins`` closes an origin set through the Γ entries of the
+internal variables it names, bound at or before the binding; the
+library's origin sets need no closing on any program the checker typed,
+so it returns the origin set itself.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
-from refflow.semantics import AmbiguousPredecessor, DepPair
-from refflow.syntax import Abstraction, Let, LetRec, Occurrence, Ref, Variable, _children
-from refflow.typesys import AbstractionInRef, LinearityViolation, TypeEnv, _ungrouped
+from refflow.agreement import ClauseVerdict
+from refflow.semantics import AmbiguousPredecessor, DepPair, EvalError, Location, evaluate
+from refflow.syntax import (
+    Abstraction,
+    Application,
+    Assign,
+    Case,
+    Deref,
+    FunctionalApplication,
+    Group,
+    Let,
+    LetRec,
+    Occurrence,
+    PVar,
+    Ref,
+    Variable,
+    _children,
+)
+from refflow.typesys import AbstractionInRef, Analysis, Base, IVar, LinearityViolation, Type, TypeEnv, _ungrouped
 
 
 def linear_use_check(program: Occurrence) -> tuple:
@@ -351,3 +377,107 @@ def p_chains(pi: Pi, point: int, limit: int = 100_000) -> frozenset:
         for parent in parents:
             stack.append((parent, path + (parent,)))
     return frozenset(chains)
+
+
+def _free_in(occ: Occurrence, table: dict) -> frozenset:
+    expr = occ.expr
+    match expr:
+        case Variable(name):
+            fv = frozenset({name})
+        case Abstraction(param, body):
+            fv = _free_in(body, table) - {param}
+        case Let(name, bound, body):
+            fv = _free_in(bound, table) | (_free_in(body, table) - {name})
+        case LetRec(name, bound, body):
+            fv = (_free_in(bound, table) | _free_in(body, table)) - {name}
+        case Application(a, b) | FunctionalApplication(_, a, b) | Assign(a, b):
+            fv = _free_in(a, table) | _free_in(b, table)
+        case Case(scrutinee, patterns, clauses):
+            fv = _free_in(scrutinee, table)
+            for pattern, clause in zip(patterns, clauses):
+                clause_fv = _free_in(clause, table)
+                fv = fv | (clause_fv - {pattern.name} if isinstance(pattern, PVar) else clause_fv)
+        case Ref(inner) | Deref(inner) | Group(inner):
+            fv = _free_in(inner, table)
+        case _:
+            fv = frozenset()
+    table[occ.point] = fv
+    return fv
+
+
+def free_name_table(occ: Occurrence) -> dict:
+    """The names occurring free in each subterm, by the subterm's point."""
+
+    table: dict = {}
+    _free_in(occ, table)
+    return table
+
+
+def free_vars(occ: Occurrence) -> frozenset:
+    """Names that occur free in the occurrence."""
+
+    return free_name_table(occ)[occ.point]
+
+
+def binding_lemma(program: Occurrence, *, tamper=None, budget: int = 1_000_000) -> dict:
+    """The binding lemma's verdict on a run of ``program``, as
+    ``AgreementReport.to_dict`` shows it: at every bind of a name, every
+    frame on the stack (a point) is one check, which fails when the name
+    is free in the frame by the program's free-name table.  A run that
+    ends in an evaluation error keeps the checks made so far."""
+
+    table = free_name_table(program)
+    lemma = ClauseVerdict()
+    stack: list = []
+
+    def on_step(kind, occ, env, value, pair, dep):
+        if kind == "begin":
+            stack.append(occ.point)
+        elif kind == "end":
+            if stack:
+                stack.pop()
+        elif not isinstance(occ, Location):
+            lemma.activity += len(stack)
+            for frame in stack:
+                if occ in table.get(frame, ()):
+                    lemma.fail(f"{occ} bound during evaluation of point {frame} where it is free")
+
+    try:
+        evaluate(program, budget=budget, on_step=on_step, tamper=tamper)
+    except EvalError:
+        pass
+    return {"holds": lemma.holds, "activity": lemma.activity, "witnesses": list(lemma.witnesses)}
+
+
+def _origins_of(ty: Type) -> int:
+    return ty.delta if isinstance(ty, Base) else ty.pending
+
+
+def expanded_origins(ty: Type, analysis: Analysis, binding: int) -> int:
+    """The origin set of ``ty`` (a bitset over ``analysis.atoms``) closed
+    transitively through the Γ entries of internal variables bound at or
+    before ``binding``.
+
+    Only atoms with an entry are expanded, each once, and an entry adds
+    only atoms not seen yet."""
+
+    bit = analysis.atoms.bit
+    entered = sum(bit(key) for key in analysis.gamma.entries if isinstance(key[0], IVar))
+    origins = seen = _origins_of(ty)
+    frontier = origins & entered
+    if not frontier:
+        return origins
+    index, anc = analysis.pi.reach
+    bits = anc.get(binding, 0)
+    entries, at = analysis.gamma.entries, analysis.atoms.at
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        atom = at[low.bit_length() - 1]
+        point = atom[1]
+        if point != binding and not (point in index and bits >> index[point] & 1):
+            continue
+        new = _origins_of(entries[atom]) & ~seen
+        seen |= new
+        frontier |= new & entered
+    return seen

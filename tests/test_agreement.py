@@ -19,10 +19,24 @@ from refflow.agreement import (
     check_soundness,
     gen_program,
 )
-from refflow.semantics import AmbiguousPredecessor, DepPair, DepState, Location, evaluate, ip_sem
-from refflow.syntax import Assign, Let, Ref, Variable, _children, free_vars, parse, pretty
+from refflow.semantics import AmbiguousPredecessor, Closure, DepPair, DepState, Location, evaluate, ip_sem
+from refflow.syntax import (
+    Assign,
+    Constant,
+    FunctionalApplication,
+    Let,
+    LetRec,
+    Occurrence,
+    Ref,
+    Variable,
+    _children,
+    parse,
+    pretty,
+    subterm_at,
+)
 from refflow.typesys import MUTATIONS, TypeCheckError, typecheck
 
+import reference
 from conftest import RECURSIVE_SRCS
 from families import cases_source
 
@@ -126,7 +140,7 @@ def test_generated_programs_are_closed_and_typed(seed, size):
     """[DERIVED] Generated programs are closed, accepted by the
     checker, and terminate within the default budget."""
     prog = gen_program(seed, size)
-    assert free_vars(prog) == frozenset()
+    assert reference.free_vars(prog) == frozenset()
     typecheck(prog)
     evaluate(prog)
 
@@ -569,3 +583,127 @@ def test_environment_clause_checks_each_announced_binding_once():
     environment = judge.clauses["environment"]
     assert environment.activity == 2
     assert environment.witnesses == ("point 2: no typing entry mentions ghost",)
+
+
+# ---------------------------------------------------------------------------
+# The binding lemma
+# ---------------------------------------------------------------------------
+
+
+def _tree(node):
+    """An occurrence tree from nested tuples (expression class, point,
+    fields...), a name or a constant standing for itself."""
+    if not isinstance(node, tuple):
+        return node
+    cls, point, *fields = node
+    return Occurrence(cls(*map(_tree, fields)), point)
+
+
+def _lemma_case(name: str):
+    """(program, a fresh tamper or None) for each way the lemma can fail.
+
+    * ``shadow``: (let x 1 (+ x (let x 2 x))), built without parse: the
+      inner let binds x while the sum, where x is free, runs;
+    * ``letrec``: (let x 0 (+ x (let rec x (let x 1 x) x))), a let rec
+      whose bound, no abstraction, rebinds its own name inside;
+    * ``reenter``: the first read of k in f's body returns a closure of
+      f's body, so y is bound again while that body runs;
+    * ``unentered``: the read of m returns a closure of h's body, which
+      h's abstraction never made, and the read of k inside it returns a
+      closure binding z, free in that running body.
+    """
+    if name == "shadow":
+        inner = (Let, 5, "x", (Constant, 6, 2), (Variable, 7, "x"))
+        return _tree((Let, 1, "x", (Constant, 2, 1), (FunctionalApplication, 3, "+", (Variable, 4, "x"), inner))), None
+    if name == "letrec":
+        inner = (Let, 6, "x", (Constant, 7, 1), (Variable, 8, "x"))
+        return _tree((Let, 1, "x", (Constant, 2, 0), (FunctionalApplication, 3, "+", (Variable, 4, "x"),
+                      (LetRec, 5, "x", inner, (Variable, 9, "x"))))), None
+    if name == "reenter":
+        program = parse(r"(let k (\b. b) (let f (\y. (+ (k 1) y)) (f 2)))")
+        forged = {8: lambda value: Closure("y", subterm_at(program, 6), {"k": (value, 2)}, lam_point=5)}
+    else:
+        program = parse(r"(let k (\b. b) (let m (\c. c) (let h (\z. (+ (k 3) z)) (m 1))))")
+        forged = {
+            15: lambda value: Closure("c", subterm_at(program, 9), dict(value.env), lam_point=8),
+            11: lambda value: Closure("z", subterm_at(program, 13), {}, lam_point=8),
+        }
+
+    def tamper(occ, value, pair):
+        forge = forged.pop(occ.point, None)  # each forgery once
+        return None if forge is None else (forge(value), pair)
+
+    return program, tamper
+
+
+def _lemma_report(name: str) -> dict:
+    program, tamper = _lemma_case(name)
+    return check_soundness(program, tamper=tamper).to_dict()
+
+
+# Recorded before the judge tested frames only where the lemma can fail.
+LEMMA_CASES = {
+    "shadow": ("fail", 4, ["x bound during evaluation of point 3 where it is free"]),
+    "letrec": ("fail", 8, ["x bound during evaluation of point 3 where it is free"] * 2),
+    "reenter": ("fail", 18, ["y bound during evaluation of point 6 where it is free"]),
+    "unentered": ("fail", 16, ["z bound during evaluation of point 9 where it is free"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEMMA_CASES))
+def test_binding_lemma_able_to_fail(name):
+    """[DERIVED] A repeated binder, a let rec rebinding its own name in its
+    bound, a closure re-entering a running body and a closure entering a
+    body its abstraction never made each fail the lemma, with the
+    activity and witnesses recorded before, and what the reference's scan
+    of every frame at every bind reports."""
+    outcome, activity, witnesses = LEMMA_CASES[name]
+    report = _lemma_report(name)
+    assert report["outcome"] == outcome
+    assert report["binding_lemma"] == {"holds": False, "activity": activity, "witnesses": witnesses}
+    program, tamper = _lemma_case(name)
+    assert report["binding_lemma"] == reference.binding_lemma(program, tamper=tamper)
+
+
+def test_lemma_reports_pinned():
+    """[DERIVED] The four lemma cases' whole reports hash to the digest
+    recorded before the judge tested frames only where the lemma can
+    fail."""
+    rows = [_lemma_report(name) for name in LEMMA_CASES]
+    assert hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()[:16] == "0081fdd73760d3b8"
+
+
+def _closure_swap():
+    """A tamper that answers each closure-valued occurrence after the first
+    with the closure met just before it, so bodies run where their own
+    application never sent them."""
+    met = []
+
+    def tamper(occ, value, pair):
+        if isinstance(value, Closure):
+            met.append(value)
+            if len(met) > 1:
+                return met[-2], pair
+        return None
+
+    return tamper
+
+
+def test_binding_lemma_matches_the_reference_scan():
+    """[DERIVED] Over the first 200 corpus programs, cases(4/8) and the
+    lemma cases, untampered and with every closure swapped for the one
+    met before it, the judge's lemma verdict is the reference scan's;
+    the swaps fail it on some programs, so the comparison is not vacuous."""
+    programs = [gen_program(seed, 1 + seed % 30) for seed in range(200)]
+    programs += [parse(cases_source(n)) for n in (4, 8)]
+    programs += [_lemma_case(name)[0] for name in sorted(LEMMA_CASES)]
+    failed = 0
+    for program in programs:
+        for tamper in (None, _closure_swap):
+            options = {} if tamper is None else {"tamper": tamper()}
+            lemma = check_soundness(program, **options).to_dict()["binding_lemma"]
+            if tamper is not None:
+                options["tamper"] = tamper()
+            assert lemma == reference.binding_lemma(program, **options), pretty(program)
+            failed += not lemma["holds"]
+    assert failed >= 15

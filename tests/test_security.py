@@ -29,6 +29,7 @@ from refflow.security import (
 from refflow.syntax import parse
 from refflow.typesys import Base, IVar, Pi, atom_key, show_atom, typecheck
 
+import reference
 from conftest import DIRECT_FLOW_SRC, INDIRECT_FLOW_SRC, NO_FLOW_SRC
 from families import cases_source
 
@@ -154,29 +155,50 @@ def test_default_labeling_names_every_binder():
 
 
 def test_expansion_pulls_internal_entries():
-    """[DERIVED] The read's origin set mentions the cell's internal
-    variable; expansion pulls the written secret through it."""
+    """[DERIVED] The read's own origin set holds the written secret h@4,
+    which the read took from the cell's entry, beside the cell's internal
+    variable at the read; the expanded origins are that set."""
     prog = parse(INDIRECT_FLOW_SRC)
     analysis = typecheck(prog, allow_free=True)
     read_ty = analysis.type_of[7]
-    direct = {subject for subject, _ in analysis.atoms.points_of(read_ty.delta)}
-    assert IVar(2) in direct
-    expanded = expanded_origins(read_ty, analysis, 7)
-    assert ("h", 4) in analysis.atoms.points_of(expanded)
+    direct = analysis.atoms.points_of(read_ty.delta)
+    assert {show_atom(atom) for atom in direct} == {"r@3", "h@4", "r@6", "v2@7"}
+    assert expanded_origins(read_ty) == read_ty.delta
 
 
 def test_expansion_skips_entries_bound_after_the_binding():
-    """[DERIVED] The cell's entry at the write (point 5) holds the secret
-    h@4; an origin set naming that entry expands through it for a
-    binding at 7, after the write, but not for one at 2, before it."""
+    """[DERIVED] The reference closure over a hand-built type: the cell's
+    entry at the write (point 5) holds the secret h@4; an origin set
+    naming that entry expands through it for a binding at 7, after the
+    write, but not for one at 2, before it."""
     analysis = typecheck(parse(INDIRECT_FLOW_SRC), allow_free=True)
     decode = analysis.atoms.points_of
     at_write = Base(analysis.atoms.bit((IVar(2), 5)))
     assert ("h", 4) in decode(analysis.gamma.at(IVar(2), 5).delta)
-    after = expanded_origins(at_write, analysis, 7)
+    after = reference.expanded_origins(at_write, analysis, 7)
     assert ("h", 4) in decode(after)
-    before = expanded_origins(at_write, analysis, 2)
+    before = reference.expanded_origins(at_write, analysis, 2)
     assert set(decode(before)) == {(IVar(2), 5)}
+
+
+def test_origin_sets_need_no_closing():
+    """[DERIVED] Over the first 100 corpus programs, cases(4/8/20) and the
+    hand programs, the reference closure through the internal variables'
+    entries adds no atom to any type the checker gave, in ``type_of`` or
+    in Γ, for a binding at the type's own point or at the last point."""
+    from refflow.agreement import gen_program
+
+    sources = [cases_source(n) for n in (4, 8, 20)] + [source for source, _ in HAND_NIFC]
+    programs = [gen_program(seed, 1 + seed % 30) for seed in range(100)] + [parse(src) for src in sources]
+    types = 0
+    for prog in programs:
+        analysis = typecheck(prog, allow_free=True)
+        typed = [*analysis.type_of.items(), *((key[1], ty) for key, ty in analysis.gamma.entries.items())]
+        for point, ty in typed:
+            for binding in (point, analysis.pi.final):
+                assert reference.expanded_origins(ty, analysis, binding) == expanded_origins(ty)
+            types += 1
+    assert types > 4_000
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +262,7 @@ def test_nifc_verdicts_pinned():
         analysis = typecheck(prog, allow_free=True)
         for binder, binding in analysis.binding_sites:
             if level_of(labeling, binder) == LOW:
-                reach = analysis.atoms.points_of(expanded_origins(analysis.type_of[binding], analysis, binding))
+                reach = analysis.atoms.points_of(expanded_origins(analysis.type_of[binding]))
                 origins.append([binder, binding, [show_atom(atom) for atom in sorted(reach, key=atom_key)]])
     assert hashlib.sha256(json.dumps(verdicts).encode()).hexdigest()[:16] == "ef9a0908d9c649e4"
     assert hashlib.sha256(json.dumps(origins).encode()).hexdigest()[:16] == "d6f246f0deb69254"

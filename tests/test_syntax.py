@@ -22,22 +22,28 @@ from refflow.syntax import (
     Constant,
     Deref,
     DuplicatePointError,
+    FunctionalApplication,
     Group,
     Let,
+    LetRec,
+    Occurrence,
     ParseError,
+    PVar,
     PTuple,
     PWildcard,
     Ref,
     SyntaxModuleError,
     Variable,
+    _preorder,
     all_points,
-    free_vars,
+    occurs_free,
     parse,
     pretty,
     subterm_at,
 )
 
-from conftest import ALIAS_CHAIN_SRC
+from conftest import ALIAS_CHAIN_SRC, RECURSIVE_SRCS
+from reference import free_name_table, free_vars
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +173,38 @@ def test_free_vars():
     assert free_vars(parse("(let x y (+ x z))")) == frozenset({"y", "z"})
     assert free_vars(parse(r"(\a. (a b))")) == frozenset({"b"})
     assert free_vars(parse(ALIAS_CHAIN_SRC)) == frozenset()
+
+
+def _shadowing_tree() -> Occurrence:
+    """(let x y (case x [x -> (λx. (+ x z)), y -> (let rec y (x y) y)])),
+    built without parse so that every binder form repeats a name."""
+    o = Occurrence
+    lam = o(Abstraction("x", o(FunctionalApplication("+", o(Variable("x"), 7), o(Variable("z"), 8)), 6)), 5)
+    letrec = o(LetRec("y", o(Application(o(Variable("x"), 10), o(Variable("y"), 11)), 12), o(Variable("y"), 13)), 9)
+    case = o(Case(o(Variable("x"), 3), (PVar("x"), PVar("y")), (lam, letrec)), 4)
+    return o(Let("x", o(Variable("y"), 2), case), 1)
+
+
+def test_occurs_free_matches_the_free_name_table():
+    """[DERIVED] At every subterm of the first 100 corpus programs, the
+    untyped recursive programs, the worked example and a tree whose
+    binders all repeat a name, ``occurs_free`` answers for every name of
+    the program, and one it never mentions, what the reference's table
+    of free names says."""
+    from refflow.agreement import gen_program
+
+    programs = [gen_program(seed, 1 + seed % 30) for seed in range(100)]
+    programs += [parse(src) for src in (*RECURSIVE_SRCS, ALIAS_CHAIN_SRC)] + [_shadowing_tree()]
+    checked = 0
+    for program in programs:
+        table = free_name_table(program)
+        names = {name for occ in _preorder(program) for name in table[occ.point]} | {"nowhere"}
+        for occ in _preorder(program):
+            for name in sorted(names):
+                assert occurs_free(name, occ) == (name in table[occ.point]), (pretty(occ), name)
+                checked += 1
+    assert free_vars(_shadowing_tree()) == frozenset({"y", "z"})
+    assert checked > 5_000
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,12 @@ the run and the judge) and nifc (typecheck and the check), each from the
 parsed program.  A layer's seconds are the best of ``REPEAT`` runs; its
 peak is the largest block of memory tracemalloc saw in use during one
 more run, traced on its own.  The exponent is the least-squares slope of
-log seconds on log n.  Everything runs in one worker thread with a large
-stack, since the walkers recurse once per nested let.  Nothing is gated:
-the record is for reading, before and after a change.
+log seconds on log n.  Each family, size and layer runs in a fresh
+process (``multiprocessing``'s spawn context, one process at a time),
+so no layer's seconds depend on the heap another layer left behind;
+there it runs in a worker thread with a large stack, since the walkers
+recurse once per nested let.  Nothing is gated: the record is for
+reading, before and after a change.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import multiprocessing
 import platform
 import sys
 import threading
@@ -45,17 +49,14 @@ SIZES = {"chain": (100, 200, 400, 800, 1600), "cases": (20, 40, 80, 160, 320)}
 LABELS = {"chain": {}, "cases": {"h": "high"}}
 REPEAT = 2
 SOURCES = {"chain": chain_source, "cases": cases_source}
-
-
-def layers(source: str, labels: dict) -> dict:
-    program = parse(source)
-    return {
-        "parse": lambda: parse(source),
-        "typecheck": lambda: typecheck(program),
-        "evaluate": lambda: evaluate(program),
-        "check_soundness": lambda: check_soundness(program),
-        "nifc": lambda: check_noninterference(program, labels),
-    }
+# each layer from (source, its parsed program, labels)
+LAYERS = {
+    "parse": lambda source, program, labels: parse(source),
+    "typecheck": lambda source, program, labels: typecheck(program),
+    "evaluate": lambda source, program, labels: evaluate(program),
+    "check_soundness": lambda source, program, labels: check_soundness(program),
+    "nifc": lambda source, program, labels: check_noninterference(program, labels),
+}
 
 
 def seconds(run) -> float:
@@ -86,23 +87,51 @@ def slope(sizes, values) -> float | None:
     return round(sum((x - mx) * (y - my) for x, y in pairs) / var, 3)
 
 
-def record() -> dict:
+def measure(family: str, n: int, layer: str):
+    """(points, seconds, peak MB) of one layer on ``family``'s program of
+    size n, measured in a worker thread; None when the thread failed."""
+
+    result: dict = {}
+
+    def work():
+        sys.setrecursionlimit(200_000)
+        source = SOURCES[family](n)
+        program = parse(source)
+
+        def run():
+            return LAYERS[layer](source, program, LABELS[family])
+
+        result["row"] = len(all_points(program)), seconds(run), peak_mb(run)
+
+    threading.stack_size(512 * 2**20)
+    worker = threading.Thread(target=work)
+    worker.start()
+    worker.join()
+    return result.get("row")
+
+
+def record() -> dict | None:
     out: dict = {"python": platform.python_version(), "repeat": REPEAT}
-    for family, sizes in SIZES.items():
-        table: dict = {"points": {}}
-        for n in sizes:
-            source = SOURCES[family](n)
-            table["points"][str(n)] = len(all_points(parse(source)))
-            for layer, run in layers(source, LABELS[family]).items():
-                row = table.setdefault(layer, {"s": {}, "peak_mb": {}})
-                row["s"][str(n)] = round(seconds(run), 4)
-                row["peak_mb"][str(n)] = round(peak_mb(run), 2)
-                print(f"{family}({n}) {layer}: {row['s'][str(n)]} s, {row['peak_mb'][str(n)]} MB",
-                      file=sys.stderr, flush=True)
-        for layer, row in table.items():
-            if layer != "points":
-                row["exponent"] = slope(sizes, [row["s"][str(n)] for n in sizes])
-        out[family] = table
+    # one fresh process per task, one at a time
+    with multiprocessing.get_context("spawn").Pool(1, maxtasksperchild=1) as pool:
+        for family, sizes in SIZES.items():
+            table: dict = {"points": {}}
+            for n in sizes:
+                for layer in LAYERS:
+                    measured = pool.apply(measure, (family, n, layer))
+                    if measured is None:
+                        return None
+                    points, secs, peak = measured
+                    table["points"][str(n)] = points
+                    row = table.setdefault(layer, {"s": {}, "peak_mb": {}})
+                    row["s"][str(n)] = round(secs, 4)
+                    row["peak_mb"][str(n)] = round(peak, 2)
+                    print(f"{family}({n}) {layer}: {row['s'][str(n)]} s, {row['peak_mb'][str(n)]} MB",
+                          file=sys.stderr, flush=True)
+            for layer, row in table.items():
+                if layer != "points":
+                    row["exponent"] = slope(sizes, [row["s"][str(n)] for n in sizes])
+            out[family] = table
     return out
 
 
@@ -110,20 +139,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--out", default="BENCH_scale.json")
     args = parser.parse_args(argv)
-    result: dict = {}
-
-    def work():
-        sys.setrecursionlimit(200_000)
-        result["record"] = record()
-
-    threading.stack_size(512 * 2**20)
-    worker = threading.Thread(target=work)
-    worker.start()
-    worker.join()
-    if "record" not in result:
+    result = record()
+    if result is None:
         return 1
     with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(result["record"], handle, indent=1)
+        json.dump(result, handle, indent=1)
         handle.write("\n")
     return 0
 
