@@ -428,7 +428,7 @@ def _cmd_nifc(args) -> int:
         _emit_json(verdict.to_dict())
     else:
         print(f"verdict: {'pass' if verdict.ok else 'violation'}")
-        if verdict.flows:
+        if not verdict.ok:  # a verdict fails exactly when it has flows
             print("flows:")
             for flow in verdict.flows:
                 print(f"  {flow}")

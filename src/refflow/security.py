@@ -15,8 +15,8 @@ The verdict is computed twice, from two readings of the same data:
   the analysis's atoms, and masks it with the bits of the high atoms;
 * the chain reading additionally demands that the order relation place
   the high occurrence at or before the low binding: one read of the
-  binding's ancestor bitset in Pi per low binding, then one bit test
-  per flow.
+  binding point's ancestor bitset in Pi per binding point of low
+  binders, then one bit test per high occurrence reaching it.
 
 Origins only ever point backwards, so the two readings must agree; a
 discrepancy would mean the analysis produced an origin the order cannot
@@ -26,6 +26,8 @@ explain, and the verdict reports it rather than suppressing it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 from .syntax import Occurrence
 from .typesys import Analysis, Base, Type, program_subjects, typecheck
@@ -131,26 +133,29 @@ class Flow:
 class NoninterferenceVerdict:
     """The flows one check found, and where its two readings part.
 
-    A verdict holds each flow as two references it shares with the
-    verdict's other flows, ``atoms[i]`` (the high occurrence) and
-    ``sites[i]`` (the low binding), in the order of (binding point,
-    occurrence point, subject, binder); ``missed`` lists the positions
-    of the flows the chain reading did not confirm.  ``flows``,
-    ``chain_flows`` and ``formulations_agree`` are derived from these on
-    each access.  A verdict with no flows holds three empty tuples.
+    A high occurrence that reaches a binding point reaches every low
+    binder bound there, so the flows are kept factored, as references
+    they share: ``sinks`` holds the low sites some flow reaches, by
+    binding point and then binder, and ``sources`` one tuple per binding
+    point among them, its high atoms by (point, subject).  The flows run
+    atom by atom, ordered by (binding point, occurrence point, subject,
+    binder); ``missed`` lists the positions of those the chain reading
+    did not confirm.  ``flows``, ``chain_flows`` and
+    ``formulations_agree`` are derived on each access.
     """
 
-    atoms: tuple = ()
-    sites: tuple = ()
+    sinks: tuple = ()
+    sources: tuple = ()
     missed: tuple = ()
 
     @property
     def ok(self) -> bool:
-        return not self.atoms
+        return not self.sinks
 
     @property
     def flows(self) -> tuple:
-        return tuple(map(Flow, self.atoms, self.sites))
+        groups = (tuple(sites) for _, sites in groupby(self.sinks, itemgetter(1)))
+        return tuple(Flow(atom, site) for sites, atoms in zip(groups, self.sources) for atom in atoms for site in sites)
 
     @property
     def chain_flows(self) -> tuple:
@@ -166,12 +171,17 @@ class NoninterferenceVerdict:
         return not self.missed
 
     def to_dict(self) -> dict:
+        flows = [flow.to_dict() for flow in self.flows]
+        missed = set(self.missed)
         return {
             "ok": self.ok,
-            "flows": [flow.to_dict() for flow in self.flows],
-            "chain_flows": [flow.to_dict() for flow in self.chain_flows],
+            "flows": flows,
+            "chain_flows": [flow for position, flow in enumerate(flows) if position not in missed],
             "formulations_agree": self.formulations_agree,
         }
+
+
+_NO_FLOWS = NoninterferenceVerdict()  # immutable, so every passing check shares it
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +205,11 @@ def check_noninterference(program: Occurrence, labeling: dict) -> Noninterferenc
     the usual carriers of the high label.
 
     A binder is a sink when its level is ``low``, an atom a source when
-    its subject's level is ``high``.  The origin reading costs one mask
-    of each sink's origin set with the high atoms' bits, and
-    decodes only the sources found; the chain reading one bit test per
-    flow against the sink's ancestor bitset in Pi.  The flows are sorted
-    once, as plain keys."""
+    its subject's level is ``high``.  Sinks that share a binding point
+    share its origin set, so the work goes per binding point: the origin
+    reading costs one mask of the point's origin set with the high
+    atoms' bits and decodes only the sources found; the chain reading
+    one bit test per source against the point's ancestor bitset in Pi."""
 
     analysis: Analysis = typecheck(program, allow_free=True)
     table, type_of = analysis.atoms, analysis.type_of
@@ -207,28 +217,28 @@ def check_noninterference(program: Occurrence, labeling: dict) -> Noninterferenc
     # an internal variable equals no name, so it is never high
     high_bits = table.mask(high.__contains__)
     if not high_bits:  # every atom an origin set names is in the table
-        return NoninterferenceVerdict()
-    keys = []
+        return _NO_FLOWS
+    low: dict = {}  # binding point -> its low sites
     for site in analysis.binding_sites:
-        binder, binding = site
-        if level_of(labeling, binder) != LOW:
+        if level_of(labeling, site[0]) == LOW:
+            low.setdefault(site[1], []).append(site)
+    sinks, sources, missed, flows = [], [], [], 0
+    for binding in sorted(low):
+        found = expanded_origins(type_of[binding]) & high_bits
+        if not found:
             continue
-        sources = expanded_origins(type_of[binding]) & high_bits
-        if sources:
-            index, anc = analysis.pi.reach
-            bits = anc.get(binding, 0)
-            # the first four fields tell flows apart, so the sort never compares the rest
-            keys += [
-                (binding, pt, atom[0], binder, atom, site, pt == binding or pt in index and bits >> index[pt] & 1 == 1)
-                for atom in table.points_of(sources) for pt in (atom[1],)
-            ]
-    if not keys:
-        return NoninterferenceVerdict()
-    keys.sort()
-    *_, atoms, sites, chained = zip(*keys)
-    if all(chained):
-        return NoninterferenceVerdict(atoms, sites)
-    return NoninterferenceVerdict(atoms, sites, tuple(i for i, kept in enumerate(chained) if not kept))
+        index, anc = analysis.pi.reach
+        bits = anc.get(binding, 0)
+        group = sorted(low[binding])  # by binder
+        atoms = tuple(sorted(table.points_of(found), key=itemgetter(1, 0)))  # by (point, subject)
+        for position, (_, pt) in enumerate(atoms):
+            if pt != binding and not (pt in index and bits >> index[pt] & 1):
+                first = flows + position * len(group)
+                missed += range(first, first + len(group))
+        flows += len(atoms) * len(group)
+        sinks += group
+        sources.append(atoms)
+    return NoninterferenceVerdict(tuple(sinks), tuple(sources), tuple(missed)) if sinks else _NO_FLOWS
 
 
 # ---------------------------------------------------------------------------

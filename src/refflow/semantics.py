@@ -471,11 +471,6 @@ class _Evaluator:
         self.next_location = 0
         self.loc_origin: dict = {}
 
-    def fresh_location(self) -> Location:
-        loc = Location(self.next_location)
-        self.next_location += 1
-        return loc
-
     def run(self, occ: Occurrence):
         try:
             return self.eval(occ, {}, None)
@@ -495,7 +490,12 @@ class _Evaluator:
         on_step = self.on_step
         if on_step is not None:
             on_step("begin", occ, env, None, None, self.dep)
-        value, pair = self._dispatch(occ, env, incoming)
+        expr = occ.expr
+        try:
+            rule = _EVAL_RULES[type(expr)]
+        except KeyError:
+            raise TypeError(f"unknown expression {expr!r}") from None
+        value, pair = rule(self, expr, occ.point, env, incoming)
         if self.tamper is not None:
             swapped = self.tamper(occ, value, pair)
             if swapped is not None:
@@ -504,116 +504,127 @@ class _Evaluator:
             on_step("end", occ, env, value, pair, self.dep)
         return value, pair
 
-    def _dispatch(self, occ: Occurrence, env: dict, incoming):
-        expr = occ.expr
-        p = occ.point
-        match expr:
-            case Constant(value):
-                return value, EMPTY_PAIR
+    # -- the rules, one per expression class; each returns (value, pair) --
 
-            case Variable(name):
-                if name not in env:
-                    raise UnboundVariable(name, p)
-                value, bind_point = env[name]
-                looked_up = self.dep.w.get((name, bind_point), EMPTY_PAIR)
-                atom = (name, p)
-                pts = None if looked_up.pts is None else looked_up.pts | self.dep.bit(p)
-                bits = None if looked_up.bits is None or self.atoms is None else looked_up.bits | self.atoms.bit(atom)
-                return value, DepPair(looked_up.locs, looked_up.vars | {atom}, pts, bits)
+    def _constant(self, expr: Constant, p: int, env: dict, incoming):
+        return expr.value, EMPTY_PAIR
 
-            case Abstraction(param, body):
-                return Closure(param, body, env, lam_point=p), EMPTY_PAIR
+    def _variable(self, expr: Variable, p: int, env: dict, incoming):
+        name = expr.name
+        if name not in env:
+            raise UnboundVariable(name, p)
+        value, bind_point = env[name]
+        looked_up = self.dep.w.get((name, bind_point), EMPTY_PAIR)
+        atom = (name, p)
+        pts = None if looked_up.pts is None else looked_up.pts | self.dep.bit(p)
+        bits = None if looked_up.bits is None or self.atoms is None else looked_up.bits | self.atoms.bit(atom)
+        return value, DepPair(looked_up.locs, looked_up.vars | {atom}, pts, bits)
 
-            case Group(inner):
-                return self.eval(inner, env, incoming)
+    def _abstraction(self, expr: Abstraction, p: int, env: dict, incoming):
+        return Closure(expr.param, expr.body, env, lam_point=p), EMPTY_PAIR
 
-            case Let(name, bound, body):
-                bound_value, bound_pair = self.eval(bound, env, incoming)
-                bind_point = bound.point
-                self.bind(name, bind_point, bound_value, bound_pair, incoming)
-                inner_env = {**env, name: (bound_value, bind_point)}
-                return self.eval(body, inner_env, bind_point)
+    def _let(self, expr: Let, p: int, env: dict, incoming):
+        name, bound = expr.name, expr.bound
+        bound_value, bound_pair = self.eval(bound, env, incoming)
+        bind_point = bound.point
+        self.bind(name, bind_point, bound_value, bound_pair, incoming)
+        inner_env = {**env, name: (bound_value, bind_point)}
+        return self.eval(expr.body, inner_env, bind_point)
 
-            case LetRec(name, bound, body):
-                bound_value, bound_pair = self.eval(bound, env, incoming)
-                bind_point = bound.point
-                # without an abstraction there is no knot to tie: a plain let
-                if isinstance(bound.expr, Abstraction) and isinstance(bound_value, Closure):
-                    bound_value = RecClosure(
-                        param=bound_value.param,
-                        body=bound_value.body,
-                        env=bound_value.env,
-                        lam_point=bound_value.lam_point,
-                        name=name,
-                        bind_point=bind_point,
-                    )
-                self.bind(name, bind_point, bound_value, bound_pair, incoming)
-                inner_env = {**env, name: (bound_value, bind_point)}
-                return self.eval(body, inner_env, bind_point)
+    def _let_rec(self, expr: LetRec, p: int, env: dict, incoming):
+        name, bound = expr.name, expr.bound
+        bound_value, bound_pair = self.eval(bound, env, incoming)
+        bind_point = bound.point
+        # without an abstraction there is no knot to tie: a plain let
+        if isinstance(bound.expr, Abstraction) and isinstance(bound_value, Closure):
+            closure = bound_value
+            bound_value = RecClosure(closure.param, closure.body, closure.env, closure.lam_point, name, bind_point)
+        self.bind(name, bind_point, bound_value, bound_pair, incoming)
+        inner_env = {**env, name: (bound_value, bind_point)}
+        return self.eval(expr.body, inner_env, bind_point)
 
-            case Application(fn, arg):
-                fn_value, fn_pair = self.eval(fn, env, incoming)
-                arg_value, arg_pair = self.eval(arg, env, fn.point)
-                if not isinstance(fn_value, Closure):
-                    raise NotAFunction(fn_value, p)
-                bind_point = arg.point
-                self.bind(fn_value.param, bind_point, arg_value, arg_pair, incoming)
-                call_env = dict(fn_value.env)
-                if isinstance(fn_value, RecClosure):
-                    call_env[fn_value.name] = (fn_value, fn_value.bind_point)
-                call_env[fn_value.param] = (arg_value, bind_point)
-                body_value, body_pair = self.eval(fn_value.body, call_env, bind_point)
-                return body_value, fn_pair.union(body_pair)
+    def _application(self, expr: Application, p: int, env: dict, incoming):
+        fn, arg = expr.fn, expr.arg
+        fn_value, fn_pair = self.eval(fn, env, incoming)
+        arg_value, arg_pair = self.eval(arg, env, fn.point)
+        if not isinstance(fn_value, Closure):
+            raise NotAFunction(fn_value, p)
+        bind_point = arg.point
+        self.bind(fn_value.param, bind_point, arg_value, arg_pair, incoming)
+        call_env = dict(fn_value.env)
+        if isinstance(fn_value, RecClosure):
+            call_env[fn_value.name] = (fn_value, fn_value.bind_point)
+        call_env[fn_value.param] = (arg_value, bind_point)
+        body_value, body_pair = self.eval(fn_value.body, call_env, bind_point)
+        return body_value, fn_pair.union(body_pair)
 
-            case FunctionalApplication(op, left, right):
-                left_value, left_pair = self.eval(left, env, incoming)
-                right_value, right_pair = self.eval(right, env, left.point)
-                return _apply_prim(op, left_value, right_value, p), left_pair.union(right_pair)
+    def _primitive(self, expr: FunctionalApplication, p: int, env: dict, incoming):
+        left_value, left_pair = self.eval(expr.left, env, incoming)
+        right_value, right_pair = self.eval(expr.right, env, expr.left.point)
+        return _apply_prim(expr.op, left_value, right_value, p), left_pair.union(right_pair)
 
-            case Ref(init):
-                init_value, init_pair = self.eval(init, env, incoming)
-                location = self.fresh_location()
-                self.store[location] = init_value
-                self.loc_origin[location] = p
-                self.bind(location, p, init_value, init_pair, incoming)
-                return location, init_pair
+    def _ref(self, expr: Ref, p: int, env: dict, incoming):
+        init_value, init_pair = self.eval(expr.init, env, incoming)
+        location = Location(self.next_location)
+        self.next_location += 1
+        self.store[location] = init_value
+        self.loc_origin[location] = p
+        self.bind(location, p, init_value, init_pair, incoming)
+        return location, init_pair
 
-            case Assign(target, value_occ):
-                target_value, target_pair = self.eval(target, env, incoming)
-                written_value, written_pair = self.eval(value_occ, env, target.point)
-                if not isinstance(target_value, Location):
-                    raise NotAReference(target_value, p)
-                self.store[target_value] = written_value
-                self.bind(target_value, p, written_value, written_pair, incoming, threading=False)
-                return (), target_pair
+    def _assign(self, expr: Assign, p: int, env: dict, incoming):
+        target = expr.target
+        target_value, target_pair = self.eval(target, env, incoming)
+        written_value, written_pair = self.eval(expr.value, env, target.point)
+        if not isinstance(target_value, Location):
+            raise NotAReference(target_value, p)
+        self.store[target_value] = written_value
+        self.bind(target_value, p, written_value, written_pair, incoming, threading=False)
+        return (), target_pair
 
-            case Deref(ref):
-                ref_value, ref_pair = self.eval(ref, env, incoming)
-                if not isinstance(ref_value, Location) or ref_value not in self.store:
-                    raise NotAReference(ref_value, p)
-                content = self.store[ref_value]
-                current = self.dep.ip(ref_value)
-                stored_pair = self.dep.w.get((ref_value, current), EMPTY_PAIR)
-                read = ref_pair.union(stored_pair)
-                pts = None if read.pts is None else read.pts | self.dep.bit(current)
-                return content, DepPair(read.locs | {(ref_value, current)}, read.vars, pts, read.bits)
+    def _deref(self, expr: Deref, p: int, env: dict, incoming):
+        ref_value, ref_pair = self.eval(expr.ref, env, incoming)
+        if not isinstance(ref_value, Location) or ref_value not in self.store:
+            raise NotAReference(ref_value, p)
+        content = self.store[ref_value]
+        current = self.dep.ip(ref_value)
+        stored_pair = self.dep.w.get((ref_value, current), EMPTY_PAIR)
+        read = ref_pair.union(stored_pair)
+        pts = None if read.pts is None else read.pts | self.dep.bit(current)
+        return content, DepPair(read.locs | {(ref_value, current)}, read.vars, pts, read.bits)
 
-            case Case(scrutinee, patterns, clauses):
-                scrut_value, scrut_pair = self.eval(scrutinee, env, incoming)
-                for pattern, clause in zip(patterns, clauses):
-                    bindings = match(pattern, scrut_value, p)
-                    if bindings is None:
-                        continue
-                    branch_env = env
-                    bind_point = scrutinee.point
-                    for name, bound_value in bindings.items():
-                        self.bind(name, bind_point, bound_value, scrut_pair, incoming)
-                        branch_env = {**branch_env, name: (bound_value, bind_point)}
-                    branch_value, branch_pair = self.eval(clause, branch_env, bind_point)
-                    return branch_value, branch_pair.union(scrut_pair)
-                raise MatchFailure(scrut_value, p)
+    def _case(self, expr: Case, p: int, env: dict, incoming):
+        scrutinee = expr.scrutinee
+        scrut_value, scrut_pair = self.eval(scrutinee, env, incoming)
+        for pattern, clause in zip(expr.patterns, expr.clauses):
+            bindings = match(pattern, scrut_value, p)
+            if bindings is None:
+                continue
+            branch_env = env
+            bind_point = scrutinee.point
+            for name, bound_value in bindings.items():
+                self.bind(name, bind_point, bound_value, scrut_pair, incoming)
+                branch_env = {**branch_env, name: (bound_value, bind_point)}
+            branch_value, branch_pair = self.eval(clause, branch_env, bind_point)
+            return branch_value, branch_pair.union(scrut_pair)
+        raise MatchFailure(scrut_value, p)
 
-        raise TypeError(f"unknown expression {expr!r}")
+
+# exact classes: no expression class has subclasses
+_EVAL_RULES = {
+    Constant: _Evaluator._constant,
+    Variable: _Evaluator._variable,
+    Abstraction: _Evaluator._abstraction,
+    Group: lambda self, expr, p, env, incoming: self.eval(expr.inner, env, incoming),
+    Let: _Evaluator._let,
+    LetRec: _Evaluator._let_rec,
+    Application: _Evaluator._application,
+    FunctionalApplication: _Evaluator._primitive,
+    Ref: _Evaluator._ref,
+    Assign: _Evaluator._assign,
+    Deref: _Evaluator._deref,
+    Case: _Evaluator._case,
+}
 
 
 def evaluate(

@@ -2,8 +2,8 @@
 
 Every subexpression carries a program point, a positive integer unique
 within one program.  Points come from explicit ``@N`` annotations in the
-source; anything left unlabeled is numbered by a pre-order pass that
-skips ids already taken explicitly.
+source; anything left unlabeled is numbered in pre-order, skipping ids
+already taken explicitly.
 
 Surface form (EBNF sketch)::
 
@@ -45,9 +45,10 @@ The reader splits the source with one regular expression and builds the
 final tree in one recursive descent, which notes the explicit points,
 claims each binder and resolves each variable against the binders in
 scope as it goes.  Only when some binder name repeats does the descent
-read the same tokens a second time, renaming as it claims; only when
-some node is unlabeled does one pre-order pass over the final tree
-number it in place.
+read the same tokens a second time, renaming as it claims.  The descent
+also notes each unlabeled node with the index of its first token; one
+sort of those notes puts them in pre-order, and the free ids are dealt
+out along it.
 """
 
 from __future__ import annotations
@@ -277,8 +278,9 @@ class _Parser:
     """Recursive descent over the token texts, building the final tree.
 
     An unlabeled node gets point None until numbering; ``labels``
-    collects the explicit points in source order and ``unlabeled`` counts
-    the nodes still unnumbered.  ``scope`` maps each source name to its
+    collects the explicit points in source order and ``unlabeled`` holds
+    (index of its first token, node) for every node still unnumbered, in
+    pre-order once sorted.  ``scope`` maps each source name to its
     name in the tree, or to None out of its binders' scope; ``claimed``
     holds the binder names taken so far, and a variable outside all of
     its binders goes into ``free``.
@@ -297,7 +299,7 @@ class _Parser:
         self.texts = texts
         self.pos = 0
         self.labels: list = []
-        self.unlabeled = 0
+        self.unlabeled: list = []
         self.scope: dict = {}
         self.claimed: set = set()
         self.free: set = set()
@@ -334,18 +336,21 @@ class _Parser:
     # -- occurrences --------------------------------------------------------
 
     def occurrence(self) -> Occurrence:
+        start = self.pos
         node = self.term()
         if self.texts[self.pos] != "@":
             if type(node) is Occurrence:
                 return node
-            self.unlabeled += 1
-            return Occurrence(node, None)
+            occ = Occurrence(node, None)
+            self.unlabeled.append((start, occ))
+            return occ
         self.pos += 1
         point = self.int_literal()
         self.labels.append(point)
         if type(node) is Occurrence:
             if node.point is None:
-                self.unlabeled -= 1
+                # (5)@4: the group labels the node its term just noted
+                self.unlabeled.pop()
                 node = node.expr
             else:
                 # labeled group around a labeled occurrence: pass-through node
@@ -541,33 +546,33 @@ class _Parser:
         self.fail(f"expected a pattern, found {text or 'end of input'!r}", index)
 
 # ---------------------------------------------------------------------------
-# Traversal and point assignment
+# Traversal
 # ---------------------------------------------------------------------------
 
 
+_CHILDREN = {
+    Variable: lambda expr: (),
+    Constant: lambda expr: (),
+    Abstraction: lambda expr: (expr.body,),
+    Application: lambda expr: (expr.fn, expr.arg),
+    FunctionalApplication: lambda expr: (expr.left, expr.right),
+    Let: lambda expr: (expr.bound, expr.body),
+    LetRec: lambda expr: (expr.bound, expr.body),
+    Case: lambda expr: (expr.scrutinee, *expr.clauses),
+    Ref: lambda expr: (expr.init,),
+    Assign: lambda expr: (expr.target, expr.value),
+    Deref: lambda expr: (expr.ref,),
+    Group: lambda expr: (expr.inner,),
+}
+
+
 def _children(expr: Expression):
-    match expr:
-        case Variable() | Constant():
-            return ()
-        case Abstraction(_, body):
-            return (body,)
-        case Application(fn, arg):
-            return (fn, arg)
-        case FunctionalApplication(_, left, right):
-            return (left, right)
-        case Let(_, bound, body) | LetRec(_, bound, body):
-            return (bound, body)
-        case Case(scrutinee, _, clauses):
-            return (scrutinee, *clauses)
-        case Ref(init):
-            return (init,)
-        case Assign(target, value):
-            return (target, value)
-        case Deref(ref):
-            return (ref,)
-        case Group(inner):
-            return (inner,)
-    raise TypeError(f"unknown expression {expr!r}")
+    # one rule per class, looked up by exact class: no expression class has subclasses
+    try:
+        children = _CHILDREN[type(expr)]
+    except KeyError:
+        raise TypeError(f"unknown expression {expr!r}") from None
+    return children(expr)
 
 
 def _preorder(tree: Occurrence):
@@ -580,20 +585,6 @@ def _preorder(tree: Occurrence):
         stack.extend(reversed(_children(occ.expr)))
 
 
-def _number_points(tree: Occurrence, taken: set):
-    """Give every unlabeled node of the tree the parser just built the
-    next id not taken explicitly, in pre-order, in place: no caller has
-    seen these nodes yet, so nothing can observe the change."""
-
-    point = 1
-    for occ in _preorder(tree):
-        if occ.point is None:
-            while point in taken:
-                point += 1
-            object.__setattr__(occ, "point", point)
-            point += 1
-
-
 def parse(source: str) -> Occurrence:
     """Parse a surface program into a fully labeled occurrence tree.
 
@@ -602,7 +593,8 @@ def parse(source: str) -> Occurrence:
     One descent builds the tree; only when a binder name repeats does a
     second descent over the same tokens build it again with the repeats
     renamed, avoiding every binder and free name of the program.  The
-    numbering then fills in the points of the final tree in place.
+    numbering then fills in the points of the final tree in place, in
+    the order of the nodes' first tokens, which no caller can observe.
     """
 
     parser = _Parser(source, _tokenize(source))
@@ -618,8 +610,13 @@ def parse(source: str) -> Occurrence:
                 if occ.point in seen:
                     raise DuplicatePointError(occ.point)
                 seen.add(occ.point)
-    if parser.unlabeled:
-        _number_points(tree, taken)
+    parser.unlabeled.sort()  # first-token indices are distinct
+    point = 1
+    for _, occ in parser.unlabeled:
+        while point in taken:
+            point += 1
+        object.__setattr__(occ, "point", point)
+        point += 1
     return tree
 
 

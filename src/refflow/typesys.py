@@ -613,7 +613,7 @@ class _Checker:
         self.gamma = TypeEnv()
         self.atoms = Atoms()
         self.type_of: dict = {}
-        self.lam_occ: dict = {}
+        self.lams: dict = {}  # abstraction point -> its Abstraction
         self.lam_scopes: dict = {}
         self.claims: dict = {}
         self.active: set = set()
@@ -639,8 +639,13 @@ class _Checker:
         )
 
     def check(self, occ: Occurrence, scope: dict) -> Type:
-        ty = self._dispatch(occ, scope)
+        expr = occ.expr
+        try:
+            rule = _CHECK_RULES[type(expr)]
+        except KeyError:
+            raise TypeError(f"unknown expression {expr!r}") from None
         p = occ.point
+        ty = rule(self, expr, p, scope)
         self.type_of[p] = ty
         if self.last:
             self.pi.into[p] = self.last
@@ -654,178 +659,174 @@ class _Checker:
         bindings join the alias set."""
 
         self.sites.append((name, site))
-        if isinstance(ty, Arrow):
-            return ty
-        if not ty.kappa:
+        if isinstance(ty, Arrow) or not ty.kappa:
             return ty
         self.merges.extend((name, internal) for internal in kappa_ivars(ty))
         return Base(ty.delta, ty.kappa | {name})
 
-    def _dispatch(self, occ: Occurrence, scope: dict) -> Type:
-        expr = occ.expr
-        p = occ.point
-        match expr:
-            case Constant(_):
-                return _NO_ORIGINS
+    # -- the rules, one per expression class; each returns the node's type --
 
-            case Variable(name):
-                ty = scope.get(name)
-                if ty is None:
-                    # None marks a let rec name its own bound cannot see
-                    if not self.allow_free or name in scope:
-                        raise UnboundName(name, p)
-                    ty = Base()
-                if self.mutation == "tvar-drop-atom":
-                    return ty
-                return push_atoms(ty, self.atoms.bit((name, p)))
+    def _constant(self, expr: Constant, p: int, scope: dict) -> Type:
+        return _NO_ORIGINS
 
-            case Abstraction(_, _):
-                self.lam_occ[p] = occ
-                self.lam_scopes[p] = dict(scope)
-                return Arrow(frozenset({p}))
+    def _variable(self, expr: Variable, p: int, scope: dict) -> Type:
+        name = expr.name
+        ty = scope.get(name)
+        if ty is None:
+            # None marks a let rec name its own bound cannot see
+            if not self.allow_free or name in scope:
+                raise UnboundName(name, p)
+            ty = Base()
+        if self.mutation == "tvar-drop-atom":
+            return ty
+        return push_atoms(ty, self.atoms.bit((name, p)))
 
-            case Group(inner):
-                return self.check(inner, scope)
+    def _abstraction(self, expr: Abstraction, p: int, scope: dict) -> Type:
+        self.lams[p] = expr
+        self.lam_scopes[p] = dict(scope)
+        return Arrow(frozenset({p}))
 
-            case Let(name, bound, body):
-                recorded = self._binder(name, bound.point, self.check(bound, scope))
-                if self.mutation == "tlet1-drop-kappa" and isinstance(recorded, Base):
-                    recorded = Base(recorded.delta, frozenset())
-                self.gamma.bind(name, p, recorded)
-                return self.check(body, {**scope, name: recorded})
+    def _let(self, expr: Let, p: int, scope: dict) -> Type:
+        name, bound = expr.name, expr.bound
+        recorded = self._binder(name, bound.point, self.check(bound, scope))
+        if self.mutation == "tlet1-drop-kappa" and isinstance(recorded, Base):
+            recorded = Base(recorded.delta, frozenset())
+        self.gamma.bind(name, p, recorded)
+        return self.check(expr.body, {**scope, name: recorded})
 
-            case LetRec(name, bound, body):
-                lam = _ungrouped(bound)
-                if not isinstance(lam.expr, Abstraction):
-                    bound_ty = self.check(bound, {**scope, name: None})
-                    recorded = self._binder(name, bound.point, bound_ty)
-                    self.gamma.bind(name, p, recorded)
-                    return self.check(body, {**scope, name: recorded})
-                rec_ty = Arrow(frozenset({lam.point}))
-                inner_scope = {**scope, name: rec_ty}
-                self.check(bound, inner_scope)
-                self._binder(name, bound.point, rec_ty)
-                self.gamma.bind(name, p, rec_ty)
-                return self.check(body, inner_scope)
+    def _let_rec(self, expr: LetRec, p: int, scope: dict) -> Type:
+        name, bound = expr.name, expr.bound
+        lam = _ungrouped(bound)
+        if not isinstance(lam.expr, Abstraction):
+            bound_ty = self.check(bound, {**scope, name: None})
+            recorded = self._binder(name, bound.point, bound_ty)
+            self.gamma.bind(name, p, recorded)
+            return self.check(expr.body, {**scope, name: recorded})
+        rec_ty = Arrow(frozenset({lam.point}))
+        inner_scope = {**scope, name: rec_ty}
+        self.check(bound, inner_scope)
+        self._binder(name, bound.point, rec_ty)
+        self.gamma.bind(name, p, rec_ty)
+        return self.check(expr.body, inner_scope)
 
-            case Application(fn, arg):
-                fn_ty = self.check(fn, scope)
-                if not isinstance(fn_ty, Arrow):
-                    raise NonFunctionApplication(p)
-                arg_ty = self.check(arg, scope)
-                origins = sorted(fn_ty.origins)
-                forked = len(origins) > 1
-                # every branch binds into its own copy, so the fork's state needs none
-                snapshot = self.gamma.latest
-                start, ends = self.last, 0
-                branch_latests: list = []
-                result: Type | None = None
-                for lam_point in origins:
-                    if lam_point in self.active:
-                        raise RecursiveApplication(fn.point)
-                    if lam_point in self.claims and self.claims[lam_point] != fn.point:
-                        raise LinearityViolation((self.claims[lam_point], fn.point))
-                    self.claims[lam_point] = fn.point
-                    if forked:
-                        # only one body runs; type each from the same state
-                        self.gamma.latest = dict(snapshot)
-                    lam = self.lam_occ[lam_point]
-                    param = lam.expr.param
-                    recorded = self._binder(param, arg.point, arg_ty)
-                    self.gamma.bind(param, arg.point, recorded)
-                    body_scope = {**self.lam_scopes[lam_point], param: recorded}
-                    self.active.add(lam_point)
-                    self.last = start
-                    try:
-                        body_ty = self.check(lam.expr.body, body_scope)
-                    finally:
-                        self.active.discard(lam_point)
-                    ends |= self.last
-                    result = body_ty if result is None else type_union(result, body_ty, p)
-                    branch_latests.append(self.gamma.latest)
-                self.last = ends
-                if forked:
-                    self._merge_branches(snapshot, branch_latests, p)
-                return push_atoms(result, fn_ty.pending)
+    def _application(self, expr: Application, p: int, scope: dict) -> Type:
+        fn, arg = expr.fn, expr.arg
+        fn_ty = self.check(fn, scope)
+        if not isinstance(fn_ty, Arrow):
+            raise NonFunctionApplication(p)
+        arg_ty = self.check(arg, scope)
+        origins = sorted(fn_ty.origins)
+        forked = len(origins) > 1
+        # every branch binds into its own copy, so the fork's state needs none
+        snapshot = self.gamma.latest
+        start, ends = self.last, 0
+        branch_latests: list = []
+        result: Type | None = None
+        for lam_point in origins:
+            if lam_point in self.active:
+                raise RecursiveApplication(fn.point)
+            if lam_point in self.claims and self.claims[lam_point] != fn.point:
+                raise LinearityViolation((self.claims[lam_point], fn.point))
+            self.claims[lam_point] = fn.point
+            if forked:
+                # only one body runs; type each from the same state
+                self.gamma.latest = dict(snapshot)
+            lam = self.lams[lam_point]
+            param = lam.param
+            recorded = self._binder(param, arg.point, arg_ty)
+            self.gamma.bind(param, arg.point, recorded)
+            body_scope = {**self.lam_scopes[lam_point], param: recorded}
+            self.active.add(lam_point)
+            self.last = start
+            try:
+                body_ty = self.check(lam.body, body_scope)
+            finally:
+                self.active.discard(lam_point)
+            ends |= self.last
+            result = body_ty if result is None else type_union(result, body_ty, p)
+            branch_latests.append(self.gamma.latest)
+        self.last = ends
+        if forked:
+            self._merge_branches(snapshot, branch_latests, p)
+        return push_atoms(result, fn_ty.pending)
 
-            case FunctionalApplication(op, left, right):
-                left_ty = self.check(left, scope)
-                right_ty = self.check(right, scope)
-                if isinstance(left_ty, Arrow) or isinstance(right_ty, Arrow):
-                    raise PrimShapeError(op, p)
-                return Base(left_ty.delta | right_ty.delta)
+    def _primitive(self, expr: FunctionalApplication, p: int, scope: dict) -> Type:
+        left_ty = self.check(expr.left, scope)
+        right_ty = self.check(expr.right, scope)
+        if isinstance(left_ty, Arrow) or isinstance(right_ty, Arrow):
+            raise PrimShapeError(expr.op, p)
+        return Base(left_ty.delta | right_ty.delta)
 
-            case Ref(init):
-                init_ty = self.check(init, scope)
-                if isinstance(init_ty, Arrow):
-                    raise AbstractionInRef(p)
-                if init_ty.kappa:
-                    raise UnsupportedRefContent(p)
-                internal = IVar(p)
-                self.gamma.bind(internal, p, Base(init_ty.delta, frozenset({internal})))
-                return Base(init_ty.delta, frozenset({internal}))
+    def _ref(self, expr: Ref, p: int, scope: dict) -> Type:
+        init_ty = self.check(expr.init, scope)
+        if isinstance(init_ty, Arrow):
+            raise AbstractionInRef(p)
+        if init_ty.kappa:
+            raise UnsupportedRefContent(p)
+        internal = IVar(p)
+        self.gamma.bind(internal, p, Base(init_ty.delta, frozenset({internal})))
+        return Base(init_ty.delta, frozenset({internal}))
 
-            case Assign(target, value):
-                target_ty = self.check(target, scope)
-                value_ty = self.check(value, scope)
-                if isinstance(target_ty, Arrow) or not target_ty.kappa:
-                    raise NonReferenceAssign(p)
-                if isinstance(value_ty, Arrow):
-                    raise AbstractionInRef(p)
-                if value_ty.kappa:
-                    raise UnsupportedRefContent(p)
-                stored = Base(target_ty.delta | value_ty.delta, target_ty.kappa)
-                for internal in kappa_ivars(target_ty):
-                    self.gamma.bind(internal, p, stored)
-                return Base(target_ty.delta, frozenset())
+    def _assign(self, expr: Assign, p: int, scope: dict) -> Type:
+        target_ty = self.check(expr.target, scope)
+        value_ty = self.check(expr.value, scope)
+        if isinstance(target_ty, Arrow) or not target_ty.kappa:
+            raise NonReferenceAssign(p)
+        if isinstance(value_ty, Arrow):
+            raise AbstractionInRef(p)
+        if value_ty.kappa:
+            raise UnsupportedRefContent(p)
+        stored = Base(target_ty.delta | value_ty.delta, target_ty.kappa)
+        for internal in kappa_ivars(target_ty):
+            self.gamma.bind(internal, p, stored)
+        return Base(target_ty.delta, frozenset())
 
-            case Deref(ref):
-                ref_ty = self.check(ref, scope)
-                internals = () if isinstance(ref_ty, Arrow) else kappa_ivars(ref_ty)
-                if not internals:
-                    raise NonReferenceDeref(p)
-                delta = ref_ty.delta
-                for internal in internals:
-                    delta |= self.gamma.current(internal).delta
-                    if self.mutation != "trefread-drop-delta-prime":
-                        delta |= self.atoms.bit((internal, p))
-                return Base(delta, frozenset())
+    def _deref(self, expr: Deref, p: int, scope: dict) -> Type:
+        ref_ty = self.check(expr.ref, scope)
+        internals = () if isinstance(ref_ty, Arrow) else kappa_ivars(ref_ty)
+        if not internals:
+            raise NonReferenceDeref(p)
+        delta = ref_ty.delta
+        for internal in internals:
+            delta |= self.gamma.current(internal).delta
+            if self.mutation != "trefread-drop-delta-prime":
+                delta |= self.atoms.bit((internal, p))
+        return Base(delta, frozenset())
 
-            case Case(scrutinee, patterns, clauses):
-                scrut_ty = self.check(scrutinee, scope)
-                snapshot = self.gamma.latest
-                start, ends = self.last, 0
-                branch_latests = []
-                result: Type | None = None
-                for pattern, clause in zip(patterns, clauses):
-                    self.gamma.latest = dict(snapshot)
-                    branch_scope = scope
-                    match pattern:
-                        case PVar(name):
-                            recorded = self._binder(name, scrutinee.point, scrut_ty)
-                            self.gamma.bind(name, scrutinee.point, recorded)
-                            branch_scope = {**scope, name: recorded}
-                        case PWildcard():
-                            pass
-                        case PNat(_) | PBool(_):
-                            if isinstance(scrut_ty, Arrow):
-                                raise CaseOnAbstraction(p)
-                        case PTuple(_):
-                            raise UnsupportedPattern(p)
-                    self.last = start
-                    branch_ty = self.check(clause, branch_scope)
-                    ends |= self.last
-                    result = branch_ty if result is None else type_union(result, branch_ty, p)
-                    branch_latests.append(self.gamma.latest)
-                self.last = ends
-                self._merge_branches(snapshot, branch_latests, p)
-                if self.mutation == "tcase-drop-scrutinee":
-                    return result
-                if isinstance(scrut_ty, Base):
-                    return push_atoms(result, scrut_ty.delta)
-                return push_atoms(result, scrut_ty.pending)
-
-        raise TypeError(f"unknown expression {expr!r}")
+    def _case(self, expr: Case, p: int, scope: dict) -> Type:
+        scrutinee = expr.scrutinee
+        scrut_ty = self.check(scrutinee, scope)
+        snapshot = self.gamma.latest
+        start, ends = self.last, 0
+        branch_latests = []
+        result: Type | None = None
+        for pattern, clause in zip(expr.patterns, expr.clauses):
+            self.gamma.latest = dict(snapshot)
+            branch_scope = scope
+            match pattern:
+                case PVar(name):
+                    recorded = self._binder(name, scrutinee.point, scrut_ty)
+                    self.gamma.bind(name, scrutinee.point, recorded)
+                    branch_scope = {**scope, name: recorded}
+                case PWildcard():
+                    pass
+                case PNat(_) | PBool(_):
+                    if isinstance(scrut_ty, Arrow):
+                        raise CaseOnAbstraction(p)
+                case PTuple(_):
+                    raise UnsupportedPattern(p)
+            self.last = start
+            branch_ty = self.check(clause, branch_scope)
+            ends |= self.last
+            result = branch_ty if result is None else type_union(result, branch_ty, p)
+            branch_latests.append(self.gamma.latest)
+        self.last = ends
+        self._merge_branches(snapshot, branch_latests, p)
+        if self.mutation == "tcase-drop-scrutinee":
+            return result
+        if isinstance(scrut_ty, Base):
+            return push_atoms(result, scrut_ty.delta)
+        return push_atoms(result, scrut_ty.pending)
 
     def _merge_branches(self, snapshot: dict, branch_latests: list, point: int):
         """Combine the store typings the branches left behind.
@@ -852,6 +853,23 @@ class _Checker:
                 ty = self.gamma.entries[(subject, latest[subject])]
                 union = ty if union is None else type_union(union, ty, point)
             self.gamma.bind(subject, point, union)
+
+
+# exact classes: no expression class has subclasses
+_CHECK_RULES = {
+    Constant: _Checker._constant,
+    Variable: _Checker._variable,
+    Abstraction: _Checker._abstraction,
+    Group: lambda self, expr, p, scope: self.check(expr.inner, scope),
+    Let: _Checker._let,
+    LetRec: _Checker._let_rec,
+    Application: _Checker._application,
+    FunctionalApplication: _Checker._primitive,
+    Ref: _Checker._ref,
+    Assign: _Checker._assign,
+    Deref: _Checker._deref,
+    Case: _Checker._case,
+}
 
 
 def typecheck(

@@ -33,12 +33,20 @@ stack against it at every bind; the library's judge tests a frame, with
 internal variables it names, bound at or before the binding; the
 library's origin sets need no closing on any program the checker typed,
 so it returns the origin set itself.
+
+``check_noninterference`` builds one sort key per flow, sink by sink,
+and sorts them all, returning the flows' atoms and sites and the
+positions the chain reading missed; the library goes per binding point
+in ascending order and keeps each point's sinks and sources, factored.
+It reads ``security.typecheck`` when called, so a test that patches
+the library's walk patches this one too.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
+from refflow import security
 from refflow.agreement import ClauseVerdict
 from refflow.semantics import AmbiguousPredecessor, DepPair, EvalError, Location, evaluate
 from refflow.syntax import (
@@ -481,3 +489,36 @@ def expanded_origins(ty: Type, analysis: Analysis, binding: int) -> int:
         seen |= new
         frontier |= new & entered
     return seen
+
+
+def check_noninterference(program: Occurrence, labeling: dict) -> tuple:
+    """(atoms, sites, missed): the flows' high occurrences and low binding
+    sites and the positions of the flows the chain reading misses, the
+    flows assembled as sort keys (binding point, occurrence point,
+    subject, binder, ...), one per flow, sorted once."""
+
+    analysis: Analysis = security.typecheck(program, allow_free=True)
+    table, type_of = analysis.atoms, analysis.type_of
+    high = {name for name, level in labeling.items() if level == security.HIGH}
+    high_bits = table.mask(high.__contains__)
+    if not high_bits:
+        return (), (), ()
+    keys = []
+    for site in analysis.binding_sites:
+        binder, binding = site
+        if security.level_of(labeling, binder) != security.LOW:
+            continue
+        sources = security.expanded_origins(type_of[binding]) & high_bits
+        if sources:
+            index, anc = analysis.pi.reach
+            bits = anc.get(binding, 0)
+            # the first four fields tell flows apart, so the sort never compares the rest
+            keys += [
+                (binding, pt, atom[0], binder, atom, site, pt == binding or pt in index and bits >> index[pt] & 1 == 1)
+                for atom in table.points_of(sources) for pt in (atom[1],)
+            ]
+    if not keys:
+        return (), (), ()
+    keys.sort()
+    *_, atoms, sites, chained = zip(*keys)
+    return atoms, sites, tuple(i for i, kept in enumerate(chained) if not kept)

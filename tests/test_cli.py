@@ -421,6 +421,17 @@ def test_recorded_json_outputs(command, source, recorded):
     assert out == (DATA / recorded).read_text(encoding="utf-8")
 
 
+def test_recorded_nifc_text_output():
+    """[DERIVED] nifc without --json on cases(8) under its default
+    labeling prints the bytes recorded in tests/data/cases8.nifc.txt,
+    the flows in the order of the --json output; CI compares a fresh
+    process against the same file."""
+    argv = ["nifc", str(DATA / "cases8.rf"), "--labels", str(DATA / "cases8.labels")]
+    code, out = run_cli(argv)
+    assert code == 1
+    assert out == (DATA / "cases8.nifc.txt").read_text(encoding="utf-8")
+
+
 def test_eval_json_content():
     """[DERIVED] The machine document carries the same oracle facts as
     the human report."""

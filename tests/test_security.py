@@ -8,6 +8,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -206,17 +207,18 @@ def test_origin_sets_need_no_closing():
 # ---------------------------------------------------------------------------
 
 
+def _unordered(program, **kwargs):
+    """``typecheck`` with every edge taken out of Pi."""
+    analysis = typecheck(program, **kwargs)
+    return dataclasses.replace(analysis, pi=Pi(analysis.pi.visit, frozenset()))
+
+
 def test_chain_reading_fails_without_an_order(monkeypatch):
     """[DERIVED] With every edge taken out of Pi, no high occurrence
     is at or before a later low binding: the chain reading drops the
     flows the origin reading still finds, and the verdict says the two
     readings disagree."""
-
-    def unordered(program, **kwargs):
-        analysis = typecheck(program, **kwargs)
-        return dataclasses.replace(analysis, pi=Pi(analysis.pi.visit, frozenset()))
-
-    monkeypatch.setattr(security, "typecheck", unordered)
+    monkeypatch.setattr(security, "typecheck", _unordered)
     verdict = check_noninterference(parse(INDIRECT_FLOW_SRC), H_HIGH)
     assert not verdict.ok
     assert not verdict.formulations_agree
@@ -266,6 +268,80 @@ def test_nifc_verdicts_pinned():
                 origins.append([binder, binding, [show_atom(atom) for atom in sorted(reach, key=atom_key)]])
     assert hashlib.sha256(json.dumps(verdicts).encode()).hexdigest()[:16] == "ef9a0908d9c649e4"
     assert hashlib.sha256(json.dumps(origins).encode()).hexdigest()[:16] == "d6f246f0deb69254"
+
+
+# Two low sinks that share a binding point: the two variable patterns of
+# a case, and the parameters of an application whose function has two
+# origins (fork.rf as recorded, with a constant argument, and with a
+# high one).
+FORK_SRC = (Path(__file__).parent / "data" / "fork.rf").read_text(encoding="utf-8")
+TIE_NIFC = [
+    ("(let k (+ h h) (case k [x -> (+ x 1), y -> y]))", H_HIGH),
+    (FORK_SRC, {"r": HIGH}),
+    (FORK_SRC.replace("(f 3)", "(f (+ h h))"), {"h": HIGH, "r": HIGH}),
+]
+
+FORK_FLOWS = ["r@7 f@5", "r@7 u@19", "r@10 u@19", "r@14 u@19"]
+TIE_FLOWS = [
+    ["h@3 k@2", "h@4 k@2", "h@3 x@6", "h@3 y@6", "h@4 x@6", "h@4 y@6"],
+    FORK_FLOWS,
+    FORK_FLOWS + ["h@22 x@21", "h@22 y@21", "h@23 x@21", "h@23 y@21"],
+]
+
+
+def _flow_dict(text: str) -> dict:
+    """'h@3 x@6' as ``Flow.to_dict`` gives it."""
+    (subject, occurrence), (binder, binding) = (part.split("@") for part in text.split())
+    return {"subject": subject, "occurrence": int(occurrence), "binder": binder, "binding": int(binding)}
+
+
+@pytest.mark.parametrize("case", range(len(TIE_NIFC)))
+def test_tie_order_pinned(case):
+    """[DERIVED] Flows into sinks that share a binding point are ordered
+    by occurrence point, then subject, then binder, so the flows of one
+    high occurrence to x and y stay together and two occurrences
+    interleave (h@3 to x, h@3 to y, h@4 to x, h@4 to y): the whole
+    ``to_dict()``, recorded from the sort over every flow's key."""
+    source, labeling = TIE_NIFC[case]
+    flows = [_flow_dict(text) for text in TIE_FLOWS[case]]
+    expected = {"ok": False, "flows": flows, "chain_flows": flows, "formulations_agree": True}
+    assert json.dumps(check_noninterference(parse(source), labeling).to_dict()) == json.dumps(expected)
+
+
+def _parts(verdict) -> tuple:
+    """The flows' atoms and sites and the missed positions, as
+    ``reference.check_noninterference`` returns them."""
+    flows = verdict.flows
+    return tuple(flow.atom for flow in flows), tuple(flow.site for flow in flows), verdict.missed
+
+
+def test_flow_assembly_matches_the_sort_over_every_key(monkeypatch):
+    """[DERIVED] The flows assembled per binding point are the flows one
+    sort over every flow's key gives (``atoms``, ``sites`` and ``missed``
+    equal) on the 1000 corpus programs and cases(4/8/20/80) under their
+    default labelings, the hand programs and the tie programs; and again
+    with every edge taken out of Pi, where the chain reading misses
+    flows, so the positions in ``missed`` are compared too."""
+    from refflow.agreement import gen_program
+
+    programs = [gen_program(seed, 1 + seed % 30) for seed in range(1000)]
+    programs += [parse(cases_source(n)) for n in (4, 8, 20, 80)]
+    labeled = [(prog, default_labeling(prog)) for prog in programs]
+    labeled += [(parse(source), labeling) for source, labeling in HAND_NIFC + TIE_NIFC]
+    flows = 0
+    for prog, labeling in labeled:
+        verdict = check_noninterference(prog, labeling)
+        assert _parts(verdict) == reference.check_noninterference(prog, labeling)
+        flows += len(verdict.flows)
+    assert flows > 8_000
+
+    monkeypatch.setattr(security, "typecheck", _unordered)
+    missed = 0
+    for prog, labeling in labeled[1000:]:
+        verdict = check_noninterference(prog, labeling)
+        assert _parts(verdict) == reference.check_noninterference(prog, labeling)
+        missed += len(verdict.missed)
+    assert missed > 1_000
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ source material's worked examples, [TRIVIAL] structural sanity.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from refflow.syntax import (
     Constant,
     Deref,
     DuplicatePointError,
+    Expression,
     FunctionalApplication,
     Group,
     Let,
@@ -34,6 +37,8 @@ from refflow.syntax import (
     Ref,
     SyntaxModuleError,
     Variable,
+    _CHILDREN,
+    _children,
     _preorder,
     all_points,
     occurs_free,
@@ -205,6 +210,65 @@ def test_occurs_free_matches_the_free_name_table():
                 checked += 1
     assert free_vars(_shadowing_tree()) == frozenset({"y", "z"})
     assert checked > 5_000
+
+
+# ---------------------------------------------------------------------------
+# Rule tables
+# ---------------------------------------------------------------------------
+
+
+def test_rule_tables_cover_every_expression_class():
+    """[TRIVIAL] The child enumeration, the checking walk and the
+    evaluator each have one rule for exactly the expression classes."""
+    from refflow.semantics import _EVAL_RULES
+    from refflow.typesys import _CHECK_RULES
+
+    classes = set(Expression.__subclasses__())
+    assert len(classes) == 12
+    assert set(_CHILDREN) == classes
+    assert set(_CHECK_RULES) == classes
+    assert set(_EVAL_RULES) == classes
+
+
+def _unknown_node_messages() -> tuple:
+    """The TypeError message of ``typecheck``, ``evaluate`` and
+    ``_children`` on a node of an expression class no table knows, at
+    the root and as a let body (None where nothing raised), and a weak
+    reference to that class, which dies with this frame."""
+    from refflow.semantics import evaluate
+    from refflow.typesys import typecheck
+
+    class Mystery(Expression):
+        __slots__ = ()
+
+        def __repr__(self) -> str:
+            return "Mystery()"
+
+    node = Occurrence(Mystery(), 1)
+    nested = Occurrence(Let("a", Occurrence(Constant(1), 2), node), 3)
+    messages = []
+    for run in (typecheck, evaluate, lambda occ: _children(occ.expr)):
+        for occ in (node, nested):
+            try:
+                run(occ)
+            except TypeError as err:
+                messages.append(str(err))
+            else:
+                messages.append(None)
+    return messages, weakref.ref(Mystery)
+
+
+def test_unknown_expression_class_raises():
+    """[DERIVED] A hand-built node of a new Expression subclass raises
+    the TypeError the match-based walkers raised, recorded from them;
+    ``_children`` of a let does not look inside its body.  The class is
+    collected afterwards, so the coverage test above sees only the
+    twelve classes whichever runs first."""
+    messages, mystery = _unknown_node_messages()
+    assert messages == ["unknown expression Mystery()"] * 5 + [None]
+    gc.collect()
+    assert mystery() is None
+    assert len(Expression.__subclasses__()) == 12
 
 
 # ---------------------------------------------------------------------------
