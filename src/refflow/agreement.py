@@ -42,7 +42,6 @@ merge touches is its own block.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .semantics import (
     Closure,
@@ -54,7 +53,7 @@ from .semantics import (
     evaluate,
     ip_sem,
 )
-from .syntax import Occurrence, occurs_free, parse
+from .syntax import Occurrence, Record, occurs_free, parse
 from .typesys import (
     Analysis,
     Arrow,
@@ -77,10 +76,11 @@ CLAUSES = ("dependency", "alias", "type", "environment", "order", "ip")
 # ---------------------------------------------------------------------------
 
 
-@dataclass(slots=True)
-class ClauseVerdict:
-    activity: int = 0
-    witnesses: tuple = ()  # the first five failures; the first always lands
+class ClauseVerdict(Record):
+    __slots__ = __match_args__ = ("activity", "witnesses")
+    def __init__(self, activity: int = 0, witnesses: tuple = ()):
+        self.activity = activity
+        self.witnesses = witnesses  # the first five failures; the first always lands
 
     @property
     def holds(self) -> bool:
@@ -98,13 +98,14 @@ class ClauseVerdict:
             self.witnesses += (witness,)
 
 
-@dataclass(slots=True)
-class AgreementReport:
-    outcome: str = "pass"  # pass | fail | inconclusive
-    clauses: dict = field(default_factory=lambda: {name: ClauseVerdict() for name in CLAUSES})
-    binding_lemma: ClauseVerdict = field(default_factory=ClauseVerdict)
-    steps: int = 0
-    note: str = ""
+class AgreementReport(Record):
+    __slots__ = __match_args__ = ("outcome", "clauses", "binding_lemma", "steps", "note")
+    def __init__(self, outcome: str = "pass", clauses=None, binding_lemma=None, steps: int = 0, note: str = ""):
+        self.outcome = outcome  # pass | fail | inconclusive
+        self.clauses = {name: ClauseVerdict() for name in CLAUSES} if clauses is None else clauses
+        self.binding_lemma = ClauseVerdict() if binding_lemma is None else binding_lemma
+        self.steps = steps
+        self.note = note
 
     @property
     def verdict(self) -> bool:

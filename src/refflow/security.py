@@ -25,11 +25,10 @@ explain, and the verdict reports it rather than suppressing it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 
-from .syntax import Occurrence
+from .syntax import Frozen, Occurrence, _set
 from .typesys import Analysis, Base, Type, program_subjects, typecheck
 
 HIGH = "high"
@@ -89,8 +88,7 @@ def default_labeling(program: Occurrence, stride: int = 3) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Flow:
+class Flow(Frozen):
     """One witnessed leak: a high occurrence reaching a low binding.
 
     A flow is two references to pairs it shares with its verdict's other
@@ -98,8 +96,10 @@ class Flow:
     (binder, point).
     """
 
-    atom: tuple
-    site: tuple
+    __slots__ = __match_args__ = ("atom", "site")
+    def __init__(self, atom: tuple, site: tuple):
+        _set(self, "atom", atom)
+        _set(self, "site", site)
 
     @property
     def subject(self) -> str:
@@ -129,8 +129,7 @@ class Flow:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class NoninterferenceVerdict:
+class NoninterferenceVerdict(Frozen):
     """The flows one check found, and where its two readings part.
 
     A high occurrence that reaches a binding point reaches every low
@@ -144,9 +143,11 @@ class NoninterferenceVerdict:
     ``formulations_agree`` are derived on each access.
     """
 
-    sinks: tuple = ()
-    sources: tuple = ()
-    missed: tuple = ()
+    __slots__ = __match_args__ = ("sinks", "sources", "missed")
+    def __init__(self, sinks: tuple = (), sources: tuple = (), missed: tuple = ()):
+        _set(self, "sinks", sinks)
+        _set(self, "sources", sources)
+        _set(self, "missed", missed)
 
     @property
     def ok(self) -> bool:

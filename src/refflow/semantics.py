@@ -43,7 +43,6 @@ a callback nothing at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .syntax import (
@@ -53,6 +52,7 @@ from .syntax import (
     Case,
     Constant,
     Deref,
+    Frozen,
     FunctionalApplication,
     Group,
     Let,
@@ -64,8 +64,10 @@ from .syntax import (
     PVar,
     PWildcard,
     Pattern,
+    Record,
     Ref,
     Variable,
+    _set,
 )
 
 
@@ -78,7 +80,7 @@ class Interned(tuple):
     """A value that is one object per key, like an interned string.
 
     Underneath it is the one-tuple ``(key,)``, so it hashes with tuple's
-    C-level hash, to the value a frozen one-field dataclass gave, and
+    C-level hash, to the value a one-field Frozen record gives, and
     orders by its key.  Equality is identity: it equals no plain tuple.
     Each subclass keeps its own ``_instances`` table, key -> instance;
     the instances are immutable, so every analysis shares them.
@@ -119,21 +121,25 @@ class Location(Interned):
         return f"loc{self[0]}"
 
 
-@dataclass(eq=False)
-class Closure:
-    param: str
-    body: Occurrence
-    env: dict
-    lam_point: int
+class Closure(Record):
+    __match_args__ = ("param", "body", "env", "lam_point")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # equal only when identical
+    def __init__(self, param: str, body: Occurrence, env: dict, lam_point: int):
+        self.param = param
+        self.body = body
+        self.env = env
+        self.lam_point = lam_point
 
     def __str__(self) -> str:
         return f"<fun@{self.lam_point}>"
 
 
-@dataclass(eq=False)
 class RecClosure(Closure):
-    name: str = ""
-    bind_point: int = 0
+    __match_args__ = ("param", "body", "env", "lam_point", "name", "bind_point")
+    def __init__(self, param: str, body: Occurrence, env: dict, lam_point: int, name: str = "", bind_point: int = 0):
+        super().__init__(param, body, env, lam_point)
+        self.name = name
+        self.bind_point = bind_point
 
     def __str__(self) -> str:
         return f"<rec {self.name}@{self.lam_point}>"
@@ -180,8 +186,7 @@ def show_value(value: object) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class DepPair:
+class DepPair(Frozen):
     """A set of location occurrences and a set of variable occurrences.
 
     Members are (subject, point) tuples; subjects in ``locs`` are
@@ -192,10 +197,13 @@ class DepPair:
     run given no table) and takes no part in equality, hashing or output.
     """
 
-    locs: frozenset = frozenset()
-    vars: frozenset = frozenset()
-    pts: int | None = field(default=None, compare=False, repr=False)
-    bits: int | None = field(default=None, compare=False, repr=False)
+    __slots__ = __match_args__ = ("locs", "vars", "pts", "bits")
+    _compared = ("locs", "vars")
+    def __init__(self, locs: frozenset = frozenset(), vars: frozenset = frozenset(), pts=None, bits=None):
+        _set(self, "locs", locs)
+        _set(self, "vars", vars)
+        _set(self, "pts", pts)
+        _set(self, "bits", bits)
 
     def union(self, other: "DepPair") -> "DepPair":
         pts = None if self.pts is None or other.pts is None else self.pts | other.pts
@@ -421,14 +429,15 @@ def match(pattern: Pattern, value, point: int = 0) -> dict | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EvalOutcome:
-    value: object
-    pair: DepPair
-    dep: DepState
-    store: dict
-    steps: int
-    loc_origin: dict = field(default_factory=dict)
+class EvalOutcome(Record):
+    __match_args__ = ("value", "pair", "dep", "store", "steps", "loc_origin")
+    def __init__(self, value, pair: DepPair, dep: DepState, store: dict, steps: int, loc_origin: dict | None = None):
+        self.value = value
+        self.pair = pair
+        self.dep = dep
+        self.store = store
+        self.steps = steps
+        self.loc_origin = {} if loc_origin is None else loc_origin
 
 
 def _apply_prim(op: str, left, right, point: int):

@@ -49,13 +49,17 @@ read the same tokens a second time, renaming as it claims.  The descent
 also notes each unlabeled node with the index of its first token; one
 sort of those notes puts them in pre-order, and the free ids are dealt
 out along it.
+
+The nodes are records that generate no code at import: slotted ``Frozen``
+classes with a straight-line ``__init__``, whose equality, hash, repr,
+copies and pickles are read off their field names as a frozen dataclass's.
 """
 
 from __future__ import annotations
 
 import re
+import reprlib
 import sys
-from dataclasses import dataclass
 
 
 PRIM_OPS = ("+", "-", "*", "<", "=", "&&", "||")
@@ -89,120 +93,172 @@ class CaseArityError(SyntaxModuleError):
 # ---------------------------------------------------------------------------
 
 
-class Expression:
+_set = object.__setattr__  # stores a field of a Frozen record in its __init__
+
+
+class Record:
+    """A mutable, unhashable record, equal to one of its class with equal fields and shown as
+    ``Class(field=value, ...)``; ``__match_args__`` names its fields, ``_compared`` any subset these read."""
+
+    __slots__ = ()
+    _compared: tuple = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._compared or self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    @reprlib.recursive_repr()
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared or self.__match_args__)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class Frozen(Record):
+    """An immutable, slotted record, hashed as the tuple of its compared fields and
+    rebuilt from every field by copy and pickle; its ``__init__`` stores them with ``_set``."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Expression(Frozen):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Occurrence:
-    expr: Expression
-    point: int
+class Occurrence(Frozen):
+    __slots__ = __match_args__ = ("expr", "point")
+    def __init__(self, expr: Expression, point: int):
+        _set(self, "expr", expr)
+        _set(self, "point", point)
 
     def __str__(self) -> str:
         return pretty(self)
 
 
-@dataclass(frozen=True)
 class Variable(Expression):
-    name: str
+    __slots__ = __match_args__ = ("name",)
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
 class Constant(Expression):
-    # int for naturals, bool for truth values, () for unit
-    value: object
+    __slots__ = __match_args__ = ("value",)
+    def __init__(self, value: object):
+        _set(self, "value", value)  # int for naturals, bool for truth values, () for unit
 
 
-@dataclass(frozen=True)
 class Abstraction(Expression):
-    param: str
-    body: Occurrence
+    __slots__ = __match_args__ = ("param", "body")
+    def __init__(self, param: str, body: Occurrence):
+        _set(self, "param", param)
+        _set(self, "body", body)
 
 
-@dataclass(frozen=True)
 class Application(Expression):
-    fn: Occurrence
-    arg: Occurrence
+    __slots__ = __match_args__ = ("fn", "arg")
+    def __init__(self, fn: Occurrence, arg: Occurrence):
+        _set(self, "fn", fn)
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class FunctionalApplication(Expression):
-    op: str
-    left: Occurrence
-    right: Occurrence
+    __slots__ = __match_args__ = ("op", "left", "right")
+    def __init__(self, op: str, left: Occurrence, right: Occurrence):
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Let(Expression):
-    name: str
-    bound: Occurrence
-    body: Occurrence
+    __slots__ = __match_args__ = ("name", "bound", "body")
+    def __init__(self, name: str, bound: Occurrence, body: Occurrence):
+        _set(self, "name", name)
+        _set(self, "bound", bound)
+        _set(self, "body", body)
 
 
-@dataclass(frozen=True)
 class LetRec(Expression):
-    name: str
-    bound: Occurrence
-    body: Occurrence
+    __slots__ = __match_args__ = ("name", "bound", "body")
+    __init__ = Let.__init__
 
 
-@dataclass(frozen=True)
 class Case(Expression):
-    scrutinee: Occurrence
-    patterns: tuple
-    clauses: tuple
+    __slots__ = __match_args__ = ("scrutinee", "patterns", "clauses")
+    def __init__(self, scrutinee: Occurrence, patterns: tuple, clauses: tuple):
+        _set(self, "scrutinee", scrutinee)
+        _set(self, "patterns", patterns)
+        _set(self, "clauses", clauses)
 
 
-@dataclass(frozen=True)
 class Ref(Expression):
-    init: Occurrence
+    __slots__ = __match_args__ = ("init",)
+    def __init__(self, init: Occurrence):
+        _set(self, "init", init)
 
 
-@dataclass(frozen=True)
 class Assign(Expression):
-    target: Occurrence
-    value: Occurrence
+    __slots__ = __match_args__ = ("target", "value")
+    def __init__(self, target: Occurrence, value: Occurrence):
+        _set(self, "target", target)
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Deref(Expression):
-    ref: Occurrence
+    __slots__ = __match_args__ = ("ref",)
+    def __init__(self, ref: Occurrence):
+        _set(self, "ref", ref)
 
 
-@dataclass(frozen=True)
 class Group(Expression):
     """Pass-through wrapper for a doubly labeled position like (5@3)@4."""
 
-    inner: Occurrence
+    __slots__ = __match_args__ = ("inner",)
+    def __init__(self, inner: Occurrence):
+        _set(self, "inner", inner)
 
 
-class Pattern:
+class Pattern(Frozen):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class PNat(Pattern):
-    value: int
+    __slots__ = __match_args__ = ("value",)
+    __init__ = Constant.__init__
 
 
-@dataclass(frozen=True)
 class PBool(Pattern):
-    value: bool
+    __slots__ = __match_args__ = ("value",)
+    __init__ = Constant.__init__
 
 
-@dataclass(frozen=True)
 class PVar(Pattern):
-    name: str
+    __slots__ = __match_args__ = ("name",)
+    __init__ = Variable.__init__
 
 
-@dataclass(frozen=True)
 class PWildcard(Pattern):
-    pass
+    __slots__ = __match_args__ = ()
 
 
-@dataclass(frozen=True)
 class PTuple(Pattern):
-    items: tuple
+    __slots__ = __match_args__ = ("items",)
+    def __init__(self, items: tuple):
+        _set(self, "items", items)
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +671,7 @@ def parse(source: str) -> Occurrence:
     for _, occ in parser.unlabeled:
         while point in taken:
             point += 1
-        object.__setattr__(occ, "point", point)
+        _set(occ, "point", point)
         point += 1
     return tree
 

@@ -39,7 +39,6 @@ subject's binding points, ``ip_type``, is one walk back over Pi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
@@ -50,6 +49,7 @@ from .syntax import (
     Case,
     Constant,
     Deref,
+    Frozen,
     FunctionalApplication,
     Group,
     Let,
@@ -60,9 +60,11 @@ from .syntax import (
     PTuple,
     PVar,
     PWildcard,
+    Record,
     Ref,
     Variable,
     _children,
+    _set,
 )
 from .semantics import Closure, Interned, Location, Order
 
@@ -119,24 +121,26 @@ class Atoms(Order):
         return bits
 
 
-class Type:
+class Type(Frozen):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Base(Type):
-    delta: int = 0  # a bitset over the analysis's Atoms
-    kappa: frozenset = frozenset()
+    __slots__ = __match_args__ = ("delta", "kappa")
+    def __init__(self, delta: int = 0, kappa: frozenset = frozenset()):
+        _set(self, "delta", delta)  # a bitset over the analysis's Atoms
+        _set(self, "kappa", kappa)
 
 
 # the type of every constant; immutable, so one instance serves them all
 _NO_ORIGINS = Base()
 
 
-@dataclass(frozen=True)
 class Arrow(Type):
-    origins: frozenset
-    pending: int = 0  # a bitset over the analysis's Atoms
+    __slots__ = __match_args__ = ("origins", "pending")
+    def __init__(self, origins: frozenset, pending: int = 0):
+        _set(self, "origins", origins)
+        _set(self, "pending", pending)  # a bitset over the analysis's Atoms
 
 
 def type_dict(ty: Type, atoms: Atoms) -> dict:
@@ -509,15 +513,22 @@ def program_subjects(program: Occurrence) -> list:
     stack = [program]
     while stack:
         occ = stack.pop()
-        match occ.expr:
-            case Variable(name) | Abstraction(name, _) | Let(name, _, _) | LetRec(name, _, _):
-                out.add(name)
-            case Case(_, patterns, _):
-                out.update(pattern.name for pattern in patterns if isinstance(pattern, PVar))
-            case Ref(_):
-                out.add(IVar(occ.point))
+        subjects = _SUBJECTS.get(type(occ.expr))
+        if subjects is not None:
+            out.update(subjects(occ))
         stack.extend(_children(occ.expr))
     return sorted(out, key=subject_key)
+
+
+# the subjects an occurrence names, by the exact class of its expression
+_SUBJECTS = {
+    Variable: lambda occ: (occ.expr.name,),
+    Abstraction: lambda occ: (occ.expr.param,),
+    Let: lambda occ: (occ.expr.name,),
+    LetRec: lambda occ: (occ.expr.name,),
+    Case: lambda occ: [pattern.name for pattern in occ.expr.patterns if type(pattern) is PVar],
+    Ref: lambda occ: (IVar(occ.point),),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +544,7 @@ MUTATIONS = (
 )
 
 
-@dataclass
-class Analysis:
+class Analysis(Record):
     """Everything the program's one checking walk produced: Γ, the type of
     every point it typed, the result type, and the flow facts recorded on
     the way.  ``atoms`` numbers the atoms the types name.  Pi is the visit
@@ -543,14 +553,17 @@ class Analysis:
     variable) says the binder may denote that cell, and the alias blocks
     are derived from the merges on first use."""
 
-    program: Occurrence
-    gamma: TypeEnv
-    type_of: dict
-    result_type: Type
-    pi: Pi
-    binding_sites: tuple
-    merges: tuple
-    atoms: Atoms
+    __match_args__ = ("program", "gamma", "type_of", "result_type", "pi", "binding_sites", "merges", "atoms")
+    def __init__(self, program: Occurrence, gamma: TypeEnv, type_of: dict, result_type: Type, pi: Pi,
+                 binding_sites: tuple, merges: tuple, atoms: Atoms):
+        self.program = program
+        self.gamma = gamma
+        self.type_of = type_of
+        self.result_type = result_type
+        self.pi = pi
+        self.binding_sites = binding_sites
+        self.merges = merges
+        self.atoms = atoms
 
     @cached_property
     def alias_blocks(self) -> dict:

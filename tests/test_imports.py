@@ -1,5 +1,6 @@
-"""Source hygiene: every imported name is used, and every name the
-benchmark's tracer wraps exists where it looks.
+"""Source hygiene: every imported name is used, every name the
+benchmark's tracer wraps exists where it looks, and importing the CLI
+loads no module that generates code.
 
 Tags: [TRIVIAL] structural sanity.
 """
@@ -8,10 +9,13 @@ from __future__ import annotations
 
 import ast
 import importlib
+import subprocess
 from pathlib import Path
 
 import refflow
 from refflow.typesys import Pi
+
+from conftest import fresh_python
 
 ROOTS = (Path(refflow.__file__).parent, Path(__file__).parent)
 
@@ -66,3 +70,19 @@ def test_tracer_names_resolve():
         assert callable(getattr(importlib.import_module(f"refflow.{module}"), attr)), (module, attr)
     for _, attr, _ in pi_methods:
         assert attr in Pi.__dict__, attr
+
+
+def test_cli_import_generates_no_code():
+    """[TRIVIAL] A fresh ``import refflow.cli`` adds neither
+    ``dataclasses`` nor ``inspect`` to ``sys.modules``: the records are
+    plain classes, so the import compiles no generated methods."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import refflow.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules).difference(before)))\n"
+    )
+    proc = fresh_python("-c", code, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err
+    assert out == "[]\n"

@@ -23,15 +23,24 @@ so no layer's seconds depend on the heap another layer left behind;
 there it runs in a worker thread with a large stack, since the walkers
 recurse once per nested let.  Nothing is gated: the record is for
 reading, before and after a change.
+
+The ``startup`` row is the seconds of a fresh import of the seven
+modules ``bench/run.py`` loads, done as it does one: drop ``refflow``
+from ``sys.modules``, then import them.  It is the median of
+``STARTUP_RUNS`` spawned processes, one import each.  Without
+``__pycache__`` beside the sources, and with ``PYTHONDONTWRITEBYTECODE=1``
+as in CI, it includes compiling them.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import multiprocessing
 import platform
+import statistics
 import sys
 import threading
 import time
@@ -48,6 +57,8 @@ from families import cases_source, chain_source
 SIZES = {"chain": (100, 200, 400, 800, 1600), "cases": (20, 40, 80, 160, 320)}
 LABELS = {"chain": {}, "cases": {"h": "high"}}
 REPEAT = 2
+STARTUP_RUNS = 7
+MODULES = ("syntax", "semantics", "typesys", "approx", "agreement", "security", "cli")
 SOURCES = {"chain": chain_source, "cases": cases_source}
 # each layer from (source, its parsed program, labels)
 LAYERS = {
@@ -110,10 +121,25 @@ def measure(family: str, n: int, layer: str):
     return result.get("row")
 
 
+def import_seconds() -> float:
+    """Seconds of a fresh import of ``MODULES``, after dropping every
+    refflow module this process has imported."""
+
+    for name in [n for n in sys.modules if n == "refflow" or n.startswith("refflow.")]:
+        del sys.modules[name]
+    start = time.perf_counter()
+    for module in MODULES:
+        importlib.import_module(f"refflow.{module}")
+    return time.perf_counter() - start
+
+
 def record() -> dict | None:
     out: dict = {"python": platform.python_version(), "repeat": REPEAT}
     # one fresh process per task, one at a time
     with multiprocessing.get_context("spawn").Pool(1, maxtasksperchild=1) as pool:
+        runs = [pool.apply(import_seconds) for _ in range(STARTUP_RUNS)]
+        out["startup"] = {"import_s": round(statistics.median(runs), 4), "runs": STARTUP_RUNS}
+        print(f"startup: {out['startup']['import_s']} s", file=sys.stderr, flush=True)
         for family, sizes in SIZES.items():
             table: dict = {"points": {}}
             for n in sizes:
