@@ -63,6 +63,7 @@ from .typesys import (
     show_atom,
     show_type,
     subject_key,
+    type_dict,
     type_value,
     typecheck,
 )
@@ -97,6 +98,9 @@ class ClauseVerdict(Record):
         if len(self.witnesses) < 5:
             self.witnesses += (witness,)
 
+    def to_dict(self) -> dict:
+        return {"holds": self.holds, "activity": self.activity, "witnesses": list(self.witnesses)}
+
 
 class AgreementReport(Record):
     __slots__ = __match_args__ = ("outcome", "clauses", "binding_lemma", "steps", "note")
@@ -128,19 +132,8 @@ class AgreementReport(Record):
             "outcome": self.outcome,
             "steps": self.steps,
             "note": self.note,
-            "binding_lemma": {
-                "holds": self.binding_lemma.holds,
-                "activity": self.binding_lemma.activity,
-                "witnesses": list(self.binding_lemma.witnesses),
-            },
-            "clauses": {
-                name: {
-                    "holds": verdict.holds,
-                    "activity": verdict.activity,
-                    "witnesses": list(verdict.witnesses),
-                }
-                for name, verdict in sorted(self.clauses.items())
-            },
+            "binding_lemma": self.binding_lemma.to_dict(),
+            "clauses": {name: verdict.to_dict() for name, verdict in sorted(self.clauses.items())},
         }
 
 
@@ -326,7 +319,7 @@ class _Judge:
     def type_agree(self, value, dep: DepState, pair: DepPair, ty: Type, where):
         if isinstance(value, Location):
             if not isinstance(ty, Base):
-                shown = show_type(ty, self.atoms)
+                shown = show_type(type_dict(ty, self.atoms))
                 self.clauses["type"].check(False, f"{_place(where)}: location {value} typed as arrow {shown}")
                 return
             self.dep_agree(pair, ty.delta, where)
@@ -473,7 +466,8 @@ class _Judge:
             self.clauses["type"].check(False, f"point {point} was evaluated but never typed")
             return
         if isinstance(value, Location) and not isinstance(ty, Base):
-            self.clauses["type"].check(False, f"point {point}: location typed as arrow {show_type(ty, self.atoms)}")
+            shown = show_type(type_dict(ty, self.atoms))
+            self.clauses["type"].check(False, f"point {point}: location typed as arrow {shown}")
             return
         self.env = env
         if isinstance(value, Location):

@@ -17,11 +17,16 @@ files that are not UTF-8, 3 when a run is inconclusive because the step
 budget ran out or the program nests too deeply for Python's recursion
 limit (a ``RecursionError`` or ``MemoryError`` in any command).
 
-``--json`` switches stdout to a single machine-readable document; the
-two modes never mix on one stream.  Machine output is byte-stable for
-identical inputs and flags: keys are sorted, collections are emitted
-in a deterministic order, and nothing depends on the clock.  The
-``--trace`` line format is ``<rule> <point> <pair>``, one line per rule
+Each command builds one document.  ``--json`` dumps it to stdout as a
+single machine-readable document, and the text form prints the same
+document; the two modes never mix on one stream.  The one difference
+is a dependency pair's order: text lists its atoms by (subject, point),
+as ``{h@5, r@9, r@14}``, where ``--json`` sorts their strings, as
+``["h@5","r@14","r@9"]``.  ``fuzz`` streams its text records as it
+checks each program.  Machine output is byte-stable for identical
+inputs and flags: keys are sorted, collections are emitted in a
+deterministic order, and nothing depends on the clock.  The ``--trace``
+line format is ``<rule> <point> <pair>``, one line per rule
 application, in application order.
 """
 
@@ -33,7 +38,7 @@ import os
 import sys
 
 from .agreement import check_soundness, gen_program
-from .security import LabelingError, check_noninterference, parse_labeling
+from .security import LabelingError, check_noninterference, parse_labeling, show_flow
 from .semantics import (
     DepPair,
     EvalBudgetExceeded,
@@ -54,11 +59,6 @@ from .syntax import (
     Let,
     LetRec,
     Occurrence,
-    PBool,
-    PNat,
-    PTuple,
-    PVar,
-    PWildcard,
     Pattern,
     Ref,
     SyntaxModuleError,
@@ -66,12 +66,14 @@ from .syntax import (
     parse,
     pretty,
 )
-from .typesys import TypeCheckError, show_type, subject_key, type_dict, typecheck
+from .typesys import TypeCheckError, atom_key, show_atom, show_type, subject_key, type_dict, typecheck
 
 EXIT_PASS = 0
 EXIT_REJECT = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
+
+_REPORT_EXITS = {"pass": EXIT_PASS, "fail": EXIT_REJECT, "inconclusive": EXIT_INCONCLUSIVE}
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -97,74 +99,69 @@ _RULE_NAMES = {
 
 
 def _show_pair(pair: DepPair) -> str:
-    locs = ", ".join(f"{loc}@{pt}" for loc, pt in sorted(pair.locs))
-    vars_ = ", ".join(f"{name}@{pt}" for name, pt in sorted(pair.vars))
+    # text lists atoms by (subject, point) and --json by their strings, which
+    # tests/data/*.eval.json and bench/expected.json pin; so text reads the pair
+    locs, vars_ = (", ".join(map(show_atom, sorted(atoms))) for atoms in (pair.locs, pair.vars))
     return f"({{{locs}}}, {{{vars_}}})"
 
 
 def _pair_dict(pair: DepPair) -> dict:
-    return {
-        "locs": sorted(f"{loc}@{pt}" for loc, pt in pair.locs),
-        "vars": sorted(f"{name}@{pt}" for name, pt in pair.vars),
-    }
+    return {"locs": sorted(map(show_atom, pair.locs)), "vars": sorted(map(show_atom, pair.vars))}
 
 
 def _pattern_dict(pattern: Pattern) -> dict:
-    match pattern:
-        case PNat(value):
-            return {"pat": "nat", "value": value}
-        case PBool(value):
-            return {"pat": "bool", "value": value}
-        case PVar(name):
-            return {"pat": "var", "name": name}
-        case PWildcard():
-            return {"pat": "wildcard"}
-        case PTuple(items):
-            return {"pat": "tuple", "items": [_pattern_dict(item) for item in items]}
-    raise TypeError(f"unknown pattern {pattern!r}")
+    """A pattern's class name less its leading P as ``pat``, then its fields."""
+
+    doc: dict = {"pat": type(pattern).__name__[1:].lower()}
+    for field in pattern.__match_args__:
+        value = getattr(pattern, field)
+        doc[field] = [_pattern_dict(item) for item in value] if field == "items" else value
+    return doc
 
 
-def _tree_dict(occ: Occurrence) -> dict:
-    node: dict = {"point": occ.point, "kind": type(occ.expr).__name__}
-    match occ.expr:
-        case Constant(value):
-            node["value"] = show_value(value)
-        case Variable(name):
-            node["name"] = name
-        case Abstraction(param, body):
-            node["param"] = param
-            node["body"] = _tree_dict(body)
-        case Application(fn, arg):
-            node["fn"] = _tree_dict(fn)
-            node["arg"] = _tree_dict(arg)
-        case FunctionalApplication(op, left, right):
-            node["op"] = op
-            node["left"] = _tree_dict(left)
-            node["right"] = _tree_dict(right)
-        case Let(name, bound, body) | LetRec(name, bound, body):
-            node["name"] = name
-            node["bound"] = _tree_dict(bound)
-            node["body"] = _tree_dict(body)
-        case Case(scrutinee, patterns, clauses):
-            node["scrutinee"] = _tree_dict(scrutinee)
-            node["branches"] = [
-                {"pattern": _pattern_dict(pat), "body": _tree_dict(clause)}
-                for pat, clause in zip(patterns, clauses)
-            ]
-        case Ref(init):
-            node["init"] = _tree_dict(init)
-        case Assign(target, value):
-            node["target"] = _tree_dict(target)
-            node["value"] = _tree_dict(value)
-        case Deref(target):
-            node["target"] = _tree_dict(target)
-        case Group(inner):
-            node["inner"] = _tree_dict(inner)
-    return node
+def _tree_dict(program: Occurrence) -> dict:
+    """Each node's point, kind and fields, read off ``__match_args__``; a
+    ``Deref``'s ref prints as ``target`` and a case's patterns and clauses
+    as ``branches``, a list of ``{pattern, body}``."""
+
+    root: dict = {}
+    stack = [(program, root)]
+
+    def child(occ: Occurrence) -> dict:
+        stack.append((occ, {}))
+        return stack[-1][1]
+
+    while stack:
+        occ, node = stack.pop()
+        expr = occ.expr
+        node.update(point=occ.point, kind=type(expr).__name__)
+        for field in expr.__match_args__:
+            value = getattr(expr, field)
+            if isinstance(value, Occurrence):
+                node["target" if field == "ref" else field] = child(value)
+            elif field == "clauses":
+                node["branches"] = [
+                    {"pattern": _pattern_dict(pat), "body": child(clause)}
+                    for pat, clause in zip(expr.patterns, value)
+                ]
+            elif field != "patterns":
+                node[field] = show_value(value) if isinstance(expr, Constant) else value
+    return root
 
 
-def _emit_json(doc) -> None:
-    sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+def _emit(args, doc: dict, print_text) -> None:
+    """Dump the command's document with ``--json``, else print it as text."""
+
+    if args.json:
+        sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":"), default=_pair_dict) + "\n")
+    else:
+        print_text(doc)
+
+
+def _print_edges(title: str, edges: list) -> None:
+    print(f"{title}:")
+    for before, after in edges:
+        print(f"  {before} -> {after}")
 
 
 def _fail(message: str, code: int) -> int:
@@ -201,11 +198,20 @@ def _load_program(args) -> Occurrence:
 
 def _cmd_parse(args) -> int:
     program = _load_program(args)
-    if args.json:
-        _emit_json({"pretty": pretty(program), "tree": _tree_dict(program)})
-    else:
-        print(pretty(program))
+    doc = {"pretty": pretty(program), "tree": _tree_dict(program)}
+    _emit(args, doc, lambda doc: print(doc["pretty"]))
     return EXIT_PASS
+
+
+def _print_eval(doc: dict) -> None:
+    for step in doc["trace"]:
+        print(f"{step['rule']} {step['point']} {_show_pair(step['pair'])}")
+    print(f"value: {doc['value']}")
+    print(f"pair: {_show_pair(doc['pair'])}")
+    print("w:")
+    for entry in doc["w"]:
+        print(f"  {entry['subject']}@{entry['point']} -> {_show_pair(entry['pair'])}")
+    _print_edges("order", doc["order"])
 
 
 def _cmd_eval(args) -> int:
@@ -214,137 +220,80 @@ def _cmd_eval(args) -> int:
 
     def on_step(kind, occ, env, value, pair, dep):
         if kind == "end":
-            trace.append((_RULE_NAMES[type(occ.expr)], occ.point, pair))
+            trace.append({"rule": _RULE_NAMES[type(occ.expr)], "point": occ.point, "pair": pair})
 
-    try:
-        outcome = evaluate(
-            program,
-            budget=args.steps,
-            on_step=on_step if args.trace else None,
-        )
-    except EvalBudgetExceeded as err:
-        return _fail(f"inconclusive: {err}", EXIT_INCONCLUSIVE)
-    except EvalError as err:
-        return _fail(f"evaluation error: {err}", EXIT_REJECT)
-
-    w_items = sorted(outcome.dep.w.items(), key=w_key)
-    order = sorted(outcome.dep.edges)
-    if args.json:
-        _emit_json(
-            {
-                "value": show_value(outcome.value),
-                "pair": _pair_dict(outcome.pair),
-                "steps": outcome.steps,
-                "w": [
-                    {"subject": str(subject), "point": point, "pair": _pair_dict(pair)}
-                    for (subject, point), pair in w_items
-                ],
-                "order": [list(edge) for edge in order],
-                "trace": [
-                    {"rule": rule, "point": point, "pair": _pair_dict(pair)}
-                    for rule, point, pair in trace
-                ],
-            }
-        )
-        return EXIT_PASS
-    for rule, point, pair in trace:
-        print(f"{rule} {point} {_show_pair(pair)}")
-    print(f"value: {show_value(outcome.value)}")
-    print(f"pair: {_show_pair(outcome.pair)}")
-    print("w:")
-    for (subject, point), pair in w_items:
-        print(f"  {subject}@{point} -> {_show_pair(pair)}")
-    print("order:")
-    for before, after in order:
-        print(f"  {before} -> {after}")
+    outcome = evaluate(program, budget=args.steps, on_step=on_step if args.trace else None)
+    # the document holds DepPairs: --json dumps them with _pair_dict, text with _show_pair
+    doc = {
+        "value": show_value(outcome.value),
+        "pair": outcome.pair,
+        "steps": outcome.steps,
+        "w": [
+            {"subject": str(subject), "point": point, "pair": pair}
+            for (subject, point), pair in sorted(outcome.dep.w.items(), key=w_key)
+        ],
+        "order": [list(edge) for edge in sorted(outcome.dep.edges)],
+        "trace": trace,
+    }
+    _emit(args, doc, _print_eval)
     return EXIT_PASS
+
+
+def _print_typecheck(doc: dict) -> None:
+    print(f"result: {show_type(doc['result'])}")
+    print("types:")
+    for point, ty in doc["types"].items():
+        print(f"  {point}: {show_type(ty)}")
+    print("gamma:")
+    for entry in doc["gamma"]:
+        print(f"  {entry['subject']}@{entry['point']}: {show_type(entry['type'])}")
+    _print_edges("pi", doc["pi"])
+    print("alias:")
+    for block in doc["alias"]:
+        print("  {" + ", ".join(block) + "}")
 
 
 def _cmd_typecheck(args) -> int:
     program = _load_program(args)
-    try:
-        analysis = typecheck(program)
-    except TypeCheckError as err:
-        return _fail(f"rejected: {err}", EXIT_REJECT)
-
-    gamma_items = sorted(
-        analysis.gamma.entries.items(),
-        key=lambda item: (subject_key(item[0][0]), item[0][1]),
-    )
-    atoms, pi = analysis.atoms, analysis.pi
-    edges = sorted(pi.edges)
-    blocks = [
-        [str(s) for s in sorted(block, key=subject_key)] for block in analysis.alias_base
-    ]
-    if args.json:
-        _emit_json(
-            {
-                "result": type_dict(analysis.result_type, atoms),
-                "types": {
-                    str(point): type_dict(ty, atoms)
-                    for point, ty in sorted(analysis.type_of.items())
-                },
-                "gamma": [
-                    {"subject": str(subject), "point": point, "type": type_dict(ty, atoms)}
-                    for (subject, point), ty in gamma_items
-                ],
-                "pi": [list(edge) for edge in edges],
-                "alias": blocks,
-            }
-        )
-        return EXIT_PASS
-    print(f"result: {show_type(analysis.result_type, atoms)}")
-    print("types:")
-    for point, ty in sorted(analysis.type_of.items()):
-        print(f"  {point}: {show_type(ty, atoms)}")
-    print("gamma:")
-    for (subject, point), ty in gamma_items:
-        print(f"  {subject}@{point}: {show_type(ty, atoms)}")
-    print("pi:")
-    for before, after in edges:
-        print(f"  {before} -> {after}")
-    print("alias:")
-    for block in blocks:
-        print("  {" + ", ".join(block) + "}")
+    analysis = typecheck(program)
+    atoms = analysis.atoms
+    doc = {
+        "result": type_dict(analysis.result_type, atoms),
+        # in point order for text; --json sorts the keys as strings
+        "types": {str(point): type_dict(ty, atoms) for point, ty in sorted(analysis.type_of.items())},
+        "gamma": [
+            {"subject": str(subject), "point": point, "type": type_dict(ty, atoms)}
+            for (subject, point), ty in sorted(analysis.gamma.entries.items(), key=lambda item: atom_key(item[0]))
+        ],
+        "pi": [list(edge) for edge in sorted(analysis.pi.edges)],
+        "alias": [[str(s) for s in sorted(block, key=subject_key)] for block in analysis.alias_base],
+    }
+    _emit(args, doc, _print_typecheck)
     return EXIT_PASS
 
 
-def _report_exit(outcome: str) -> int:
-    if outcome == "pass":
-        return EXIT_PASS
-    if outcome == "inconclusive":
-        return EXIT_INCONCLUSIVE
-    return EXIT_REJECT
+def _print_verdict(indent: str, name: str, verdict: dict) -> None:
+    print(f"{indent}{name}: {'holds' if verdict['holds'] else 'fails'} ({verdict['activity']} checks)")
+    for witness in verdict["witnesses"]:
+        print(f"{indent}  witness: {witness}")
 
 
-def _print_report(report) -> None:
-    print(f"outcome: {report.outcome}")
-    print(f"steps: {report.steps}")
-    if report.note:
-        print(f"note: {report.note}")
+def _print_check(doc: dict) -> None:
+    print(f"outcome: {doc['outcome']}")
+    print(f"steps: {doc['steps']}")
+    if doc["note"]:
+        print(f"note: {doc['note']}")
     print("clauses:")
-    for name, verdict in sorted(report.clauses.items()):
-        state = "holds" if verdict.holds else "fails"
-        print(f"  {name}: {state} ({verdict.activity} checks)")
-        for witness in verdict.witnesses:
-            print(f"    witness: {witness}")
-    state = "holds" if report.binding_lemma.holds else "fails"
-    print(f"binding_lemma: {state} ({report.binding_lemma.activity} checks)")
-    for witness in report.binding_lemma.witnesses:
-        print(f"  witness: {witness}")
+    for name, verdict in doc["clauses"].items():
+        _print_verdict("  ", name, verdict)
+    _print_verdict("", "binding_lemma", doc["binding_lemma"])
 
 
 def _cmd_check(args) -> int:
     program = _load_program(args)
-    try:
-        report = check_soundness(program, budget=args.steps)
-    except TypeCheckError as err:
-        return _fail(f"rejected: {err}", EXIT_REJECT)
-    if args.json:
-        _emit_json(report.to_dict())
-    else:
-        _print_report(report)
-    return _report_exit(report.outcome)
+    report = check_soundness(program, budget=args.steps)
+    _emit(args, report.to_dict(), _print_check)
+    return _REPORT_EXITS[report.outcome]
 
 
 def _first_witness(report) -> str:
@@ -378,21 +327,15 @@ def _cmd_fuzz(args) -> int:
     for seed in range(args.seed, args.seed + args.count):
         size = 1 + (seed % args.size)
         program = gen_program(seed, size)
+        record = {"seed": seed, "size": size}
         try:
             report = check_soundness(program, budget=args.steps)
         except TypeCheckError as err:
-            record = {"seed": seed, "size": size, "outcome": "rejected", "failed_clauses": [str(err)]}
+            record.update(outcome="rejected", failed_clauses=[str(err)])
         else:
-            record = {
-                "seed": seed,
-                "size": size,
-                "outcome": report.outcome,
-                "failed_clauses": list(report.failed_clauses()),
-            }
+            record.update(outcome=report.outcome, failed_clauses=list(report.failed_clauses()))
             if report.outcome != "pass":
-                record["program"] = pretty(program)
-                record["witness"] = _first_witness(report)
-                record["steps"] = report.steps
+                record.update(program=pretty(program), witness=_first_witness(report), steps=report.steps)
         tally[record["outcome"]] += 1
         if args.json:
             records.append(record)
@@ -400,14 +343,9 @@ def _cmd_fuzz(args) -> int:
             # stream the text records, so a reader that stops early stops the run
             _print_fuzz_record(record)
             sys.stdout.flush()
-    if args.json:
-        _emit_json({"records": records, "summary": tally})
-    else:
-        print(
-            "summary: pass {pass} fail {fail} inconclusive {inconclusive} rejected {rejected}".format(
-                **tally
-            )
-        )
+    summary = "summary: pass {pass} fail {fail} inconclusive {inconclusive} rejected {rejected}"
+    # text streamed the records as they came; the summary is what is left to print
+    _emit(args, {"records": records, "summary": tally}, lambda doc: print(summary.format_map(doc["summary"])))
     if tally["fail"] or tally["rejected"]:
         return EXIT_REJECT
     if tally["inconclusive"]:
@@ -415,24 +353,22 @@ def _cmd_fuzz(args) -> int:
     return EXIT_PASS
 
 
+def _print_nifc(doc: dict) -> None:
+    print(f"verdict: {'pass' if doc['ok'] else 'violation'}")
+    if not doc["ok"]:  # a verdict fails exactly when it has flows
+        print("flows:")
+        for flow in doc["flows"]:
+            print(f"  {show_flow(flow)}")
+    print(f"formulations agree: {'true' if doc['formulations_agree'] else 'false'}")
+
+
 def _cmd_nifc(args) -> int:
     program = _load_program(args)
     labeling: dict = {}
     if args.labels is not None:
         labeling = parse_labeling(_read_text(args.labels))
-    try:
-        verdict = check_noninterference(program, labeling)
-    except TypeCheckError as err:
-        return _fail(f"rejected: {err}", EXIT_REJECT)
-    if args.json:
-        _emit_json(verdict.to_dict())
-    else:
-        print(f"verdict: {'pass' if verdict.ok else 'violation'}")
-        if not verdict.ok:  # a verdict fails exactly when it has flows
-            print("flows:")
-            for flow in verdict.flows:
-                print(f"  {flow}")
-        print(f"formulations agree: {'true' if verdict.formulations_agree else 'false'}")
+    verdict = check_noninterference(program, labeling)
+    _emit(args, verdict.to_dict(), _print_nifc)
     return EXIT_PASS if verdict.ok else EXIT_REJECT
 
 
@@ -521,6 +457,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except SyntaxModuleError as err:
         return _fail(f"parse error: {err}", EXIT_USAGE)
+    except TypeCheckError as err:
+        return _fail(f"rejected: {err}", EXIT_REJECT)
+    except EvalBudgetExceeded as err:
+        return _fail(f"inconclusive: {err}", EXIT_INCONCLUSIVE)
+    except EvalError as err:
+        return _fail(f"evaluation error: {err}", EXIT_REJECT)
     except LabelingError as err:
         return _fail(f"labeling error: {err}", EXIT_USAGE)
     except InputError as err:

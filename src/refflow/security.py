@@ -118,7 +118,7 @@ class Flow(Frozen):
         return self.site[1]
 
     def __str__(self) -> str:
-        return f"{self.subject}@{self.occurrence} reaches binding of {self.binder} at {self.binding}"
+        return show_flow(self.to_dict())
 
     def to_dict(self) -> dict:
         return {
@@ -127,6 +127,12 @@ class Flow(Frozen):
             "binder": self.binder,
             "binding": self.binding,
         }
+
+
+def show_flow(flow: dict) -> str:
+    """A flow's ``to_dict`` document as ``nifc`` prints it."""
+
+    return "{subject}@{occurrence} reaches binding of {binder} at {binding}".format_map(flow)
 
 
 class NoninterferenceVerdict(Frozen):
@@ -172,12 +178,10 @@ class NoninterferenceVerdict(Frozen):
         return not self.missed
 
     def to_dict(self) -> dict:
-        flows = [flow.to_dict() for flow in self.flows]
-        missed = set(self.missed)
         return {
             "ok": self.ok,
-            "flows": flows,
-            "chain_flows": [flow for position, flow in enumerate(flows) if position not in missed],
+            "flows": [flow.to_dict() for flow in self.flows],
+            "chain_flows": [flow.to_dict() for flow in self.chain_flows],
             "formulations_agree": self.formulations_agree,
         }
 

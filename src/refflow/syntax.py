@@ -60,6 +60,7 @@ from __future__ import annotations
 import re
 import reprlib
 import sys
+from operator import attrgetter
 
 
 PRIM_OPS = ("+", "-", "*", "<", "=", "&&", "||")
@@ -103,12 +104,20 @@ class Record:
     __slots__ = ()
     _compared: tuple = ()
 
-    def _key(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._compared or self.__match_args__])
+    def __init_subclass__(cls, **kwargs):
+        # _key(record): the compared fields' tuple, read in C; attrgetter binds no self,
+        # so it is called as self._key(self)
+        super().__init_subclass__(**kwargs)
+        fields = cls._compared or getattr(cls, "__match_args__", ())
+        if len(fields) == 1:
+            get = attrgetter(*fields)
+            cls._key = staticmethod(lambda record: (get(record),))
+        else:
+            cls._key = staticmethod(attrgetter(*fields) if fields else lambda record: ())
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._key() == other._key()
+            return self._key(self) == other._key(other)
         return NotImplemented
 
     @reprlib.recursive_repr()
@@ -124,7 +133,7 @@ class Frozen(Record):
     __slots__ = ()
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self._key(self))
 
     def __reduce__(self):
         return type(self), tuple([getattr(self, name) for name in self.__match_args__])
@@ -717,12 +726,6 @@ def occurs_free(name: str, occ: Occurrence) -> bool:
 
 def all_points(occ: Occurrence) -> frozenset:
     return frozenset(o.point for o in _preorder(occ))
-
-
-def subterm_at(occ: Occurrence, point: int):
-    """The subterm labeled with the given point, or None."""
-
-    return next((o for o in _preorder(occ) if o.point == point), None)
 
 
 def _pretty_pattern(pat: Pattern) -> str:

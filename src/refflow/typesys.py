@@ -145,7 +145,7 @@ class Arrow(Type):
 
 def type_dict(ty: Type, atoms: Atoms) -> dict:
     """A type as ``typecheck --json`` prints it, its atoms decoded from
-    ``atoms`` and sorted; ``show_type`` prints the same as text."""
+    ``atoms`` and sorted; ``show_type`` prints this document as text."""
 
     def shown(bits: int) -> list:
         return [show_atom(a) for a in sorted(atoms.points_of(bits), key=atom_key)]
@@ -156,8 +156,7 @@ def type_dict(ty: Type, atoms: Atoms) -> dict:
     return {"kind": "arrow", "origins": sorted(ty.origins), "pending": shown(ty.pending)}
 
 
-def show_type(ty: Type, atoms: Atoms) -> str:
-    doc = type_dict(ty, atoms)
+def show_type(doc: dict) -> str:
     if doc["kind"] == "base":
         return f"({{{', '.join(doc['delta'])}}}, {{{', '.join(doc['kappa'])}}})"
     pending = f"+{{{', '.join(doc['pending'])}}}" if doc["pending"] else ""
@@ -396,9 +395,6 @@ class Pi(Order):
             for a in self.visit[: index[b]]
             if anc[b] >> index[a] & 1
         )
-
-    def predecessors(self, point: int):
-        return sorted(self.points_of(self.into.get(point, 0)))
 
 
 def ip_type(subject, gamma: TypeEnv, pi: Pi, at: int | None = None) -> frozenset:

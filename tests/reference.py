@@ -64,6 +64,7 @@ from refflow.syntax import (
     Ref,
     Variable,
     _children,
+    _preorder,
 )
 from refflow.typesys import AbstractionInRef, Analysis, Base, IVar, LinearityViolation, Type, TypeEnv, _ungrouped
 
@@ -302,8 +303,12 @@ class Pi:
             if anc[b] >> index[a] & 1
         )
 
+    @cached_property
+    def _sorted_pred(self) -> dict:
+        return {point: sorted(preds) for point, preds in self._pred.items()}
+
     def predecessors(self, point: int):
-        return sorted(self._pred.get(point, ()))
+        return self._sorted_pred.get(point, [])
 
 
 def ip_type(subject, gamma: TypeEnv, pi: Pi, at: int | None = None) -> frozenset:
@@ -345,6 +350,18 @@ class UnknownPoint(Exception):
         self.point = point
 
 
+def predecessors(pi, point: int) -> list:
+    """The points with an edge into ``point`` in the library's Pi, ascending."""
+
+    return sorted(pi.points_of(pi.into.get(point, 0)))
+
+
+def subterm_at(occ: Occurrence, point: int):
+    """The subterm labeled with the given point, or None."""
+
+    return next((o for o in _preorder(occ) if o.point == point), None)
+
+
 def _reduced_predecessors(pi: Pi) -> dict:
     """Predecessor lists of the transitive reduction of the order.
 
@@ -356,7 +373,7 @@ def _reduced_predecessors(pi: Pi) -> dict:
 
     pred: dict = {}
     for node in pi.into:
-        parents = pi.predecessors(node)
+        parents = predecessors(pi, node)
         pred[node] = [a for a in parents if not any(pi.precedes(a, c) for c in parents)]
     return pred
 

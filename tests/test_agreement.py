@@ -32,11 +32,11 @@ from refflow.syntax import (
     _children,
     parse,
     pretty,
-    subterm_at,
 )
 from refflow.typesys import MUTATIONS, TypeCheckError, typecheck
 
 import reference
+from reference import subterm_at
 from conftest import RECURSIVE_SRCS
 from families import cases_source
 

@@ -432,6 +432,22 @@ def test_recorded_nifc_text_output():
     assert out == (DATA / "cases8.nifc.txt").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("source", ["cases8.rf", "fork.rf", "twocell.rf"])
+@pytest.mark.parametrize(
+    "command, suffix",
+    [("eval", "eval"), ("eval --trace", "trace"), ("typecheck", "typecheck"), ("check", "check")],
+)
+def test_recorded_text_outputs(command, suffix, source):
+    """[DERIVED] eval, eval --trace, typecheck and check without --json
+    print the bytes recorded in tests/data/<name>.<suffix>.txt.  In
+    cases8.eval.txt a pair lists its atoms by (subject, point), so
+    {h@5, r@9, r@14}, where --json lists them by their string; CI
+    compares a fresh process against the same files."""
+    code, out = run_cli([*command.split(), str(DATA / source)])
+    assert code == 0
+    assert out == (DATA / source.replace(".rf", f".{suffix}.txt")).read_text(encoding="utf-8")
+
+
 def test_eval_json_content():
     """[DERIVED] The machine document carries the same oracle facts as
     the human report."""

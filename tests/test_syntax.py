@@ -44,11 +44,10 @@ from refflow.syntax import (
     occurs_free,
     parse,
     pretty,
-    subterm_at,
 )
 
 from conftest import ALIAS_CHAIN_SRC, RECURSIVE_SRCS
-from reference import free_name_table, free_vars
+from reference import free_name_table, free_vars, subterm_at
 
 
 # ---------------------------------------------------------------------------

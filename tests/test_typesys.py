@@ -67,7 +67,7 @@ from conftest import (
 )
 from families import cases_source
 from reference import Pi as ReferencePi
-from reference import UnknownPoint, _reduced_predecessors, p_chains
+from reference import UnknownPoint, _reduced_predecessors, p_chains, predecessors
 from reference import ip_type as reference_ip_type
 from reference import linear_use_check as reference_linear_use_check
 
@@ -372,18 +372,19 @@ def test_pi_from_the_walk_equals_pi_from_its_edges():
         rebuilt = Pi(pi.visit, pi.edges)
         assert rebuilt.reach == pi.reach
         assert (rebuilt.final, rebuilt.points) == (pi.final, pi.points)
-        assert all(rebuilt.predecessors(p) == pi.predecessors(p) for p in pi.visit)
+        assert all(predecessors(rebuilt, p) == predecessors(pi, p) for p in pi.visit)
 
 
-def _order_rows(pi, gamma: TypeEnv, ip) -> list:
+def _order_rows(pi, gamma: TypeEnv, ip, preds) -> list:
     """What the order answers, as JSON: visit, final point, points,
-    edges, closure, and at every visited point its predecessors, its
+    edges, closure, and at every visited point its predecessors as
+    ``preds(pi, point)`` reads them, its
     ancestors decoded from ``reach`` and, for every Γ subject, ``ip``'s
     atoms there and at the default query point."""
     index, anc = pi.reach
     return [
         list(pi.visit), pi.final, sorted(pi.points), sorted(pi.edges), sorted(pi.closure()),
-        [pi.predecessors(p) for p in pi.visit],
+        [preds(pi, p) for p in pi.visit],
         [[a for a in pi.visit if anc[p] >> index[a] & 1] for p in pi.visit],
         [
             [str(s), [sorted(pt for _, pt in ip(s, gamma, pi, at=at)) for at in (*pi.visit, None)]]
@@ -410,8 +411,9 @@ def test_pi_and_ip_type_match_the_set_based_reference():
         except TypeCheckError:
             continue
         pi, gamma = analysis.pi, analysis.gamma
-        rows.append(_order_rows(pi, gamma, ip_type))
-        assert rows[-1] == _order_rows(ReferencePi(pi.visit, pi.edges), gamma, reference_ip_type)
+        rows.append(_order_rows(pi, gamma, ip_type, predecessors))
+        reference = ReferencePi(pi.visit, pi.edges)
+        assert rows[-1] == _order_rows(reference, gamma, reference_ip_type, ReferencePi.predecessors)
     assert len(rows) == 1004
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16] == "aedda5c40a5ff217"
 
@@ -443,7 +445,9 @@ def test_pi_from_random_edges_matches_the_set_based_reference():
         gamma = TypeEnv()
         for _ in range(rng.randint(0, 6)):
             gamma.bind(rng.choice(("a", "b", V2)), rng.randrange(12), Base())
-        assert _order_rows(pi, gamma, ip_type) == _order_rows(reference, gamma, reference_ip_type)
+        assert _order_rows(pi, gamma, ip_type, predecessors) == _order_rows(
+            reference, gamma, reference_ip_type, ReferencePi.predecessors
+        )
     assert refused == 839
 
 
