@@ -118,10 +118,7 @@ class AgreementReport(Record):
     def settle(self):
         if self.outcome == "inconclusive":
             return self
-        failed = [name for name in CLAUSES if not self.clauses[name].holds]
-        if not self.binding_lemma.holds:
-            failed.append("binding_lemma")
-        self.outcome = "fail" if failed else "pass"
+        self.outcome = "fail" if self.failed_clauses() or not self.binding_lemma.holds else "pass"
         return self
 
     def failed_clauses(self) -> tuple:

@@ -72,15 +72,13 @@ def level_of(labeling: dict, name: str) -> str:
     return labeling.get(name, LOW)
 
 
-def default_labeling(program: Occurrence, stride: int = 3) -> dict:
+def default_labeling(program: Occurrence) -> dict:
     """A deterministic labeling for generated programs: sort every name
-    the program binds or leaves free, mark every ``stride``-th high.
-    Reads the syntax only, so rejected programs get a labeling too."""
+    the program binds or leaves free, mark every third high.  Reads the
+    syntax only, so rejected programs get a labeling too."""
 
-    if stride < 1:
-        raise ValueError("stride must be positive")
     names = sorted(s for s in program_subjects(program) if isinstance(s, str))
-    return {name: HIGH if index % stride == 0 else LOW for index, name in enumerate(names)}
+    return {name: HIGH if index % 3 == 0 else LOW for index, name in enumerate(names)}
 
 
 # ---------------------------------------------------------------------------

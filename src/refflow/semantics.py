@@ -39,6 +39,9 @@ positional arguments and nothing allocated for it:
 
 ``dep`` is the run's ``DepState``.  An event costs one call, and without
 a callback nothing at all.
+
+``show_value`` prints constants through ``syntax.show_constant``, a location
+as ``locN`` and a closure by its abstraction's point.
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ from .syntax import (
     Ref,
     Variable,
     _set,
+    show_constant,
 )
 
 
@@ -145,39 +149,11 @@ class RecClosure(Closure):
         return f"<rec {self.name}@{self.lam_point}>"
 
 
-# Digits per chunk when a natural is too long for ``str``: below the
-# smallest digit limit ``sys.set_int_max_str_digits`` accepts (640).
-_CHUNK_DIGITS = 600
-_CHUNK = 10**_CHUNK_DIGITS
-
-
-def _decimal(n: int) -> str:
-    """The exact decimal form of n, also past ``int``'s digit limit."""
-
-    try:
-        return str(n)
-    except ValueError:
-        pass
-    sign, n = ("-", -n) if n < 0 else ("", n)
-    chunks = []
-    while n >= _CHUNK:
-        n, low = divmod(n, _CHUNK)
-        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
-    chunks.append(str(n))
-    return sign + "".join(reversed(chunks))
-
-
 def show_value(value: object) -> str:
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if value == () and isinstance(value, tuple):
-        return "()"
-    if isinstance(value, int):
-        return _decimal(value)
     if isinstance(value, (Location, Closure)):
         return str(value)
+    if isinstance(value, int) or value == ():
+        return show_constant(value)
     return repr(value)
 
 
@@ -410,17 +386,17 @@ def match(pattern: Pattern, value, point: int = 0) -> dict | None:
     tuple constructor, so no value could ever match one.
     """
 
-    match pattern:
-        case PNat(n):
-            return {} if isinstance(value, int) and not isinstance(value, bool) and value == n else None
-        case PBool(b):
-            return {} if isinstance(value, bool) and value == b else None
-        case PVar(name):
-            return {name: value}
-        case PWildcard():
-            return {}
-        case PTuple(_):
-            raise UnsupportedPattern(point)
+    kind = type(pattern)
+    if kind is PNat:
+        return {} if isinstance(value, int) and not isinstance(value, bool) and value == pattern.value else None
+    if kind is PBool:
+        return {} if isinstance(value, bool) and value == pattern.value else None
+    if kind is PVar:
+        return {pattern.name: value}
+    if kind is PWildcard:
+        return {}
+    if kind is PTuple:
+        raise UnsupportedPattern(point)
     raise TypeError(f"unknown pattern {pattern!r}")
 
 
@@ -440,20 +416,18 @@ class EvalOutcome(Record):
         self.loc_origin = {} if loc_origin is None else loc_origin
 
 
+_ARITHMETIC = {"+": int.__add__, "-": int.__sub__, "*": int.__mul__, "<": int.__lt__}
+
+
 def _apply_prim(op: str, left, right, point: int):
     def nat(x) -> bool:
         return isinstance(x, int) and not isinstance(x, bool)
 
-    if op in ("+", "-", "*", "<"):
+    arithmetic = _ARITHMETIC.get(op)
+    if arithmetic is not None:
         if not (nat(left) and nat(right)):
             raise PrimTypeError(op, point)
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        return left < right
+        return arithmetic(left, right)
     if op == "=":
         comparable = (nat(left) and nat(right)) or (
             isinstance(left, bool) and isinstance(right, bool)
@@ -532,20 +506,12 @@ class _Evaluator:
     def _abstraction(self, expr: Abstraction, p: int, env: dict, incoming):
         return Closure(expr.param, expr.body, env, lam_point=p), EMPTY_PAIR
 
-    def _let(self, expr: Let, p: int, env: dict, incoming):
+    def _let(self, expr: Let | LetRec, p: int, env: dict, incoming):
         name, bound = expr.name, expr.bound
         bound_value, bound_pair = self.eval(bound, env, incoming)
         bind_point = bound.point
-        self.bind(name, bind_point, bound_value, bound_pair, incoming)
-        inner_env = {**env, name: (bound_value, bind_point)}
-        return self.eval(expr.body, inner_env, bind_point)
-
-    def _let_rec(self, expr: LetRec, p: int, env: dict, incoming):
-        name, bound = expr.name, expr.bound
-        bound_value, bound_pair = self.eval(bound, env, incoming)
-        bind_point = bound.point
-        # without an abstraction there is no knot to tie: a plain let
-        if isinstance(bound.expr, Abstraction) and isinstance(bound_value, Closure):
+        # a let rec ties the knot when its bound is an abstraction; else it is a plain let
+        if type(expr) is LetRec and type(bound.expr) is Abstraction and isinstance(bound_value, Closure):
             closure = bound_value
             bound_value = RecClosure(closure.param, closure.body, closure.env, closure.lam_point, name, bind_point)
         self.bind(name, bind_point, bound_value, bound_pair, incoming)
@@ -626,7 +592,7 @@ _EVAL_RULES = {
     Abstraction: _Evaluator._abstraction,
     Group: lambda self, expr, p, env, incoming: self.eval(expr.inner, env, incoming),
     Let: _Evaluator._let,
-    LetRec: _Evaluator._let_rec,
+    LetRec: _Evaluator._let,
     Application: _Evaluator._application,
     FunctionalApplication: _Evaluator._primitive,
     Ref: _Evaluator._ref,

@@ -53,6 +53,9 @@ out along it.
 The nodes are records that generate no code at import: slotted ``Frozen``
 classes with a straight-line ``__init__``, whose equality, hash, repr,
 copies and pickles are read off their field names as a frozen dataclass's.
+
+A node's children (``_CHILDREN``) and its printed shape (``_SHAPES``) are
+tables keyed by exact class; every constant prints through ``show_constant``.
 """
 
 from __future__ import annotations
@@ -699,28 +702,19 @@ def occurs_free(name: str, occ: Occurrence) -> bool:
     stack = [occ]
     while stack:
         expr = stack.pop().expr
-        match expr:
-            case Variable(found):
-                if found == name:
-                    return True
-            case Abstraction(param, body):
-                if param != name:
-                    stack.append(body)
-            case Let(bound_name, bound, body):
-                stack.append(bound)
-                if bound_name != name:
-                    stack.append(body)
-            case LetRec(bound_name, bound, body):
-                if bound_name != name:
-                    stack += (bound, body)
-            case Case(scrutinee, patterns, clauses):
-                stack.append(scrutinee)
-                stack += (
-                    clause for pattern, clause in zip(patterns, clauses)
-                    if not (isinstance(pattern, PVar) and pattern.name == name)
-                )
-            case _:
-                stack += _children(expr)
+        kind = type(expr)
+        if kind is Variable and expr.name == name:
+            return True
+        if kind is Case:
+            stack.append(expr.scrutinee)
+            stack += (
+                clause for pattern, clause in zip(expr.patterns, expr.clauses)
+                if not (type(pattern) is PVar and pattern.name == name)
+            )
+        elif kind is Let and expr.name == name:
+            stack.append(expr.bound)
+        elif not (kind is Abstraction and expr.param == name or kind is LetRec and expr.name == name):
+            stack += _children(expr)
     return False
 
 
@@ -728,58 +722,76 @@ def all_points(occ: Occurrence) -> frozenset:
     return frozenset(o.point for o in _preorder(occ))
 
 
+# Digits per chunk when a natural is too long for ``str``: below the
+# smallest digit limit ``sys.set_int_max_str_digits`` accepts (640).
+_CHUNK_DIGITS = 600
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def show_constant(value) -> str:
+    """A constant as the surface form writes it: ``true``, ``false``,
+    ``()`` or the exact decimal of a natural, also past ``int``'s digit
+    limit."""
+
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value == ():
+        return "()"
+    try:
+        return str(value)
+    except ValueError:
+        pass
+    sign, n = ("-", -value) if value < 0 else ("", value)
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
+    chunks.append(str(n))
+    return sign + "".join(reversed(chunks))
+
+
 def _pretty_pattern(pat: Pattern) -> str:
-    match pat:
-        case PNat(v):
-            return str(v)
-        case PBool(v):
-            return "true" if v else "false"
-        case PVar(name):
-            return name
-        case PWildcard():
-            return "_"
-        case PTuple(items):
-            return "(" + ", ".join(_pretty_pattern(i) for i in items) + ")"
+    kind = type(pat)
+    if kind is PNat or kind is PBool:
+        return show_constant(pat.value)
+    if kind is PVar:
+        return pat.name
+    if kind is PWildcard:
+        return "_"
+    if kind is PTuple:
+        return "(" + ", ".join(map(_pretty_pattern, pat.items)) + ")"
     raise TypeError(f"unknown pattern {pat!r}")
+
+
+def _pretty_arms(expr: Case) -> str:
+    return ", ".join(f"{_pretty_pattern(pat)} -> {pretty(clause)}" for pat, clause in zip(expr.patterns, expr.clauses))
+
+
+# each expression without its point, by exact class as ``_CHILDREN``
+_SHAPES = {
+    Variable: lambda expr: expr.name,
+    Constant: lambda expr: show_constant(expr.value),
+    Abstraction: lambda expr: f"(λ {expr.param}. {pretty(expr.body)})",
+    Application: lambda expr: f"({pretty(expr.fn)} {pretty(expr.arg)})",
+    FunctionalApplication: lambda expr: f"({expr.op} {pretty(expr.left)} {pretty(expr.right)})",
+    Let: lambda expr: f"(let {expr.name} {pretty(expr.bound)} {pretty(expr.body)})",
+    LetRec: lambda expr: f"(let rec {expr.name} {pretty(expr.bound)} {pretty(expr.body)})",
+    Case: lambda expr: f"(case {pretty(expr.scrutinee)} [{_pretty_arms(expr)}])",
+    Ref: lambda expr: f"(ref {pretty(expr.init)})",
+    Assign: lambda expr: f"({pretty(expr.target)} := {pretty(expr.value)})",
+    Deref: lambda expr: f"(!{pretty(expr.ref)})",
+    Group: lambda expr: f"({pretty(expr.inner)})",
+}
 
 
 def pretty(occ: Occurrence) -> str:
     """Render with every point explicit; parse(pretty(o)) == o."""
 
     expr = occ.expr
-    p = occ.point
-    match expr:
-        case Variable(name):
-            return f"{name}@{p}"
-        case Constant(value):
-            if value is True:
-                return f"true@{p}"
-            if value is False:
-                return f"false@{p}"
-            if value == ():
-                return f"()@{p}"
-            return f"{value}@{p}"
-        case Abstraction(param, body):
-            return f"(λ {param}. {pretty(body)})@{p}"
-        case Application(fn, arg):
-            return f"({pretty(fn)} {pretty(arg)})@{p}"
-        case FunctionalApplication(op, left, right):
-            return f"({op} {pretty(left)} {pretty(right)})@{p}"
-        case Let(name, bound, body):
-            return f"(let {name} {pretty(bound)} {pretty(body)})@{p}"
-        case LetRec(name, bound, body):
-            return f"(let rec {name} {pretty(bound)} {pretty(body)})@{p}"
-        case Case(scrutinee, patterns, clauses):
-            alts = ", ".join(
-                f"{_pretty_pattern(pat)} -> {pretty(clause)}" for pat, clause in zip(patterns, clauses)
-            )
-            return f"(case {pretty(scrutinee)} [{alts}])@{p}"
-        case Ref(init):
-            return f"(ref {pretty(init)})@{p}"
-        case Assign(target, value):
-            return f"({pretty(target)} := {pretty(value)})@{p}"
-        case Deref(ref):
-            return f"(!{pretty(ref)})@{p}"
-        case Group(inner):
-            return f"({pretty(inner)})@{p}"
-    raise TypeError(f"unknown expression {expr!r}")
+    try:
+        shape = _SHAPES[type(expr)]
+    except KeyError:
+        raise TypeError(f"unknown expression {expr!r}") from None
+    return f"{shape(expr)}@{occ.point}"

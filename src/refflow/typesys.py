@@ -55,8 +55,6 @@ from .syntax import (
     Let,
     LetRec,
     Occurrence,
-    PBool,
-    PNat,
     PTuple,
     PVar,
     PWildcard,
@@ -64,6 +62,7 @@ from .syntax import (
     Ref,
     Variable,
     _children,
+    _preorder,
     _set,
 )
 from .semantics import Closure, Interned, Location, Order
@@ -506,13 +505,10 @@ def program_subjects(program: Occurrence) -> list:
     of every allocation point, sorted by ``subject_key``."""
 
     out: set = set()
-    stack = [program]
-    while stack:
-        occ = stack.pop()
+    for occ in _preorder(program):
         subjects = _SUBJECTS.get(type(occ.expr))
         if subjects is not None:
             out.update(subjects(occ))
-        stack.extend(_children(occ.expr))
     return sorted(out, key=subject_key)
 
 
@@ -706,17 +702,14 @@ class _Checker:
     def _let_rec(self, expr: LetRec, p: int, scope: dict) -> Type:
         name, bound = expr.name, expr.bound
         lam = _ungrouped(bound)
-        if not isinstance(lam.expr, Abstraction):
+        if type(lam.expr) is Abstraction:  # the bound sees its own arrow
+            bound_ty = Arrow(frozenset({lam.point}))
+            self.check(bound, {**scope, name: bound_ty})
+        else:
             bound_ty = self.check(bound, {**scope, name: None})
-            recorded = self._binder(name, bound.point, bound_ty)
-            self.gamma.bind(name, p, recorded)
-            return self.check(expr.body, {**scope, name: recorded})
-        rec_ty = Arrow(frozenset({lam.point}))
-        inner_scope = {**scope, name: rec_ty}
-        self.check(bound, inner_scope)
-        self._binder(name, bound.point, rec_ty)
-        self.gamma.bind(name, p, rec_ty)
-        return self.check(expr.body, inner_scope)
+        recorded = self._binder(name, bound.point, bound_ty)
+        self.gamma.bind(name, p, recorded)
+        return self.check(expr.body, {**scope, name: recorded})
 
     def _application(self, expr: Application, p: int, scope: dict) -> Type:
         fn, arg = expr.fn, expr.arg
@@ -812,18 +805,16 @@ class _Checker:
         for pattern, clause in zip(expr.patterns, expr.clauses):
             self.gamma.latest = dict(snapshot)
             branch_scope = scope
-            match pattern:
-                case PVar(name):
-                    recorded = self._binder(name, scrutinee.point, scrut_ty)
-                    self.gamma.bind(name, scrutinee.point, recorded)
-                    branch_scope = {**scope, name: recorded}
-                case PWildcard():
-                    pass
-                case PNat(_) | PBool(_):
-                    if isinstance(scrut_ty, Arrow):
-                        raise CaseOnAbstraction(p)
-                case PTuple(_):
-                    raise UnsupportedPattern(p)
+            kind = type(pattern)
+            if kind is PVar:
+                name = pattern.name
+                recorded = self._binder(name, scrutinee.point, scrut_ty)
+                self.gamma.bind(name, scrutinee.point, recorded)
+                branch_scope = {**scope, name: recorded}
+            elif kind is PTuple:
+                raise UnsupportedPattern(p)
+            elif kind is not PWildcard and isinstance(scrut_ty, Arrow):  # a natural or a truth value
+                raise CaseOnAbstraction(p)
             self.last = start
             branch_ty = self.check(clause, branch_scope)
             ends |= self.last

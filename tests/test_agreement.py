@@ -511,6 +511,41 @@ def test_tampered_content_fails_the_store_check(alias_chain):
     )
 
 
+def test_location_at_an_abstraction_is_typed_as_arrow():
+    """[DERIVED] A location tampered in at the abstraction's point 2 ends
+    an occurrence typed fun[2]: the end event's witness shows that type,
+    and f's binding inhabits none of its recorded types."""
+    program = parse("(let f (λx. x) 1)")
+    report = check_soundness(program, tamper=lambda occ, v, p: (Location(0), p) if occ.point == 2 else None)
+    assert report.clauses["type"].witnesses == (
+        "point 2: location typed as arrow fun[2]",
+        "point 4: value of f inhabits none of its recorded types",
+    )
+
+
+def test_stored_location_typed_as_arrow_by_a_forged_entry():
+    """[DERIVED] The walk types internal variables at base types only, so
+    a hand-made Γ entry types v2 at 2 as fun[9]+{r@5}; the ref's content,
+    tampered into a location, then fails the store check's type test and
+    the content's own type test, which shows that arrow."""
+    from refflow import agreement
+    from refflow.typesys import Arrow, IVar
+
+    program = parse("(let r (ref 1@3)@2 (! r@5)@4)@1")
+    analysis = typecheck(program)
+    analysis.gamma.entries[(IVar(2), 2)] = Arrow(frozenset({9}), analysis.atoms.bit(("r", 5)))
+    report = AgreementReport()
+    judge = agreement._Judge(analysis, report)
+    evaluate(
+        program, on_step=judge.on_step, tamper=lambda occ, v, p: (Location(0), p) if occ.point == 3 else None,
+        index=analysis.pi.index, atoms=analysis.atoms,
+    )
+    assert report.clauses["type"].witnesses == (
+        "point 2: content of loc0 does not inhabit v2@2",
+        "point 2: loc0@2: location loc0 typed as arrow fun[9]+{r@5}",
+    )
+
+
 def test_redirected_write_fails_the_store_alias_check():
     """[DERIVED] The write at 7 meant for b's cell lands in a's (loc0),
     whose internal variable v2 is typed only at 2: the store check at the

@@ -388,6 +388,7 @@ DATA = Path(__file__).parent / "data"
         ("typecheck", "cases8.rf", "cases8.typecheck.json"),
         ("nifc", "cases8.rf", "cases8.nifc.json"),
         ("parse", "rebind.rf", "rebind.parse.json"),
+        ("parse", "shapes.rf", "shapes.parse.json"),
         ("typecheck", "fork.rf", "fork.typecheck.json"),
         ("check", "fork.rf", "fork.check.json"),
         ("typecheck", "twocell.rf", "twocell.typecheck.json"),
@@ -403,8 +404,9 @@ def test_recorded_json_outputs(command, source, recorded):
     cases(8), typecheck --json on cases(8) (Pi's edges, Γ and every point's type),
     nifc --json on cases(8) under its default labeling
     (tests/data/cases8.labels; the high cell reaches low binders, so nifc
-    exits 1), and parse --json on a program that repeats every binder
-    form, shadows names and reads a free x_1, and typecheck --json and
+    exits 1), parse --json on a program that repeats every binder
+    form, shadows names and reads a free x_1, parse --json on a program
+    with every expression and pattern class (shapes.rf), and typecheck --json and
     check --json on an application of a function with two origins
     (fork.rf: Pi forks into both bodies and joins after them, and Γ
     merges the cell's per-body entries), and typecheck, check and nifc
@@ -430,6 +432,17 @@ def test_recorded_nifc_text_output():
     code, out = run_cli(argv)
     assert code == 1
     assert out == (DATA / "cases8.nifc.txt").read_text(encoding="utf-8")
+
+
+def test_recorded_parse_text_output():
+    """[DERIVED] parse without --json on a program with every expression
+    class, a pass-through group and the named constants among them, and
+    every pattern class, a nested tuple among them, prints the bytes
+    recorded in tests/data/shapes.parse.txt; CI compares a fresh process
+    against the same file."""
+    code, out = run_cli(["parse", str(DATA / "shapes.rf")])
+    assert code == 0
+    assert out == (DATA / "shapes.parse.txt").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("source", ["cases8.rf", "fork.rf", "twocell.rf"])

@@ -135,9 +135,6 @@ def test_default_labeling_is_deterministic():
     prog = parse("(let a 1 (let b 2 (let c 3 (let d 4 d))))")
     labeling = default_labeling(prog)
     assert labeling == {"a": HIGH, "b": LOW, "c": LOW, "d": HIGH}
-    assert default_labeling(prog, stride=2) == {"a": HIGH, "b": LOW, "c": HIGH, "d": LOW}
-    with pytest.raises(ValueError):
-        default_labeling(prog, stride=0)
 
 
 def test_default_labeling_names_every_binder():

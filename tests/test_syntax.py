@@ -31,6 +31,7 @@ from refflow.syntax import (
     LetRec,
     Occurrence,
     ParseError,
+    PNat,
     PVar,
     PTuple,
     PWildcard,
@@ -38,6 +39,7 @@ from refflow.syntax import (
     SyntaxModuleError,
     Variable,
     _CHILDREN,
+    _SHAPES,
     _children,
     _preorder,
     all_points,
@@ -217,21 +219,22 @@ def test_occurs_free_matches_the_free_name_table():
 
 
 def test_rule_tables_cover_every_expression_class():
-    """[TRIVIAL] The child enumeration, the checking walk and the
-    evaluator each have one rule for exactly the expression classes."""
+    """[TRIVIAL] The child enumeration, the printer, the checking walk and
+    the evaluator each have one rule for exactly the expression classes."""
     from refflow.semantics import _EVAL_RULES
     from refflow.typesys import _CHECK_RULES
 
     classes = set(Expression.__subclasses__())
     assert len(classes) == 12
     assert set(_CHILDREN) == classes
+    assert set(_SHAPES) == classes
     assert set(_CHECK_RULES) == classes
     assert set(_EVAL_RULES) == classes
 
 
 def _unknown_node_messages() -> tuple:
-    """The TypeError message of ``typecheck``, ``evaluate`` and
-    ``_children`` on a node of an expression class no table knows, at
+    """The TypeError message of ``typecheck``, ``evaluate``, ``_children``
+    and ``pretty`` on a node of an expression class no table knows, at
     the root and as a let body (None where nothing raised), and a weak
     reference to that class, which dies with this frame."""
     from refflow.semantics import evaluate
@@ -246,7 +249,7 @@ def _unknown_node_messages() -> tuple:
     node = Occurrence(Mystery(), 1)
     nested = Occurrence(Let("a", Occurrence(Constant(1), 2), node), 3)
     messages = []
-    for run in (typecheck, evaluate, lambda occ: _children(occ.expr)):
+    for run in (typecheck, evaluate, lambda occ: _children(occ.expr), pretty):
         for occ in (node, nested):
             try:
                 run(occ)
@@ -260,11 +263,12 @@ def _unknown_node_messages() -> tuple:
 def test_unknown_expression_class_raises():
     """[DERIVED] A hand-built node of a new Expression subclass raises
     the TypeError the match-based walkers raised, recorded from them;
-    ``_children`` of a let does not look inside its body.  The class is
-    collected afterwards, so the coverage test above sees only the
-    twelve classes whichever runs first."""
+    ``_children`` of a let does not look inside its body, and ``pretty``
+    of a let prints it.  The class is collected afterwards, so the
+    coverage test above sees only the twelve classes whichever runs
+    first."""
     messages, mystery = _unknown_node_messages()
-    assert messages == ["unknown expression Mystery()"] * 5 + [None]
+    assert messages == ["unknown expression Mystery()"] * 5 + [None] + ["unknown expression Mystery()"] * 2
     gc.collect()
     assert mystery() is None
     assert len(Expression.__subclasses__()) == 12
@@ -288,6 +292,22 @@ def test_group_survives_round_trip():
     assert prog.point == 4
     assert isinstance(prog.expr, Group)
     assert parse(pretty(prog)) == prog
+
+
+def test_pretty_prints_constants_past_the_digit_limit():
+    """[DERIVED] A hand-built natural past ``int``'s 4300-digit limit for
+    ``str``, as a constant and as a natural pattern, prints the digits
+    ``show_value`` prints for it, as do the named constants."""
+    from refflow.semantics import show_value
+
+    huge = 10**5000
+    digits = show_value(huge)
+    assert digits == "1" + "0" * 5000
+    assert pretty(Occurrence(Constant(huge), 1)) == f"{digits}@1"
+    case = Case(Occurrence(Constant(huge), 2), (PNat(huge),), (Occurrence(Constant(()), 3),))
+    assert pretty(Occurrence(case, 1)) == f"(case {digits}@2 [{digits} -> ()@3])@1"
+    for value in (True, False, (), 0, -(10**5000)):
+        assert pretty(Occurrence(Constant(value), 7)) == f"{show_value(value)}@7"
 
 
 @settings(max_examples=60, deadline=None)
