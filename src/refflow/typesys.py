@@ -13,10 +13,11 @@ abstraction is applied.
 
 Checking walks the program in evaluation order and descends into an
 abstraction's body at its application site, which linearity makes
-unique, so the walk sees the same environment and store history the
-evaluator does.  The walk is total on the linear fragment: used-twice
-abstractions, abstractions stored in references, references stored in
-references, and recursive descents are rejected.
+unique, so it sees the store history the evaluator does; names are
+lexically scoped, so only cells carry a current entry along the walk.
+The walk is total on the linear fragment: used-twice abstractions,
+abstractions stored in references, references stored in references,
+and recursive descents are rejected.
 
 The same walk records the flow facts the rest of the static half reads,
 so each program is walked once: the approximated order Pi (every point
@@ -278,17 +279,13 @@ def type_union(left: Type, right: Type, point: int = 0) -> Type:
 
 
 class TypeEnv:
-    """Append-only history of typed bindings, with a current view.
-
-    Keys are atomic occurrences (subject, point); ``latest`` tracks the
-    point each subject was most recently bound at along the walk, and
-    ``_points`` the set of every point each subject was bound at, grown
-    in place; ``bound_points`` hands out a frozen copy.
-    """
+    """Γ: the append-only log of typed bindings, keyed by atomic occurrence
+    (subject, point); a repeated key joins its types.  ``_points`` holds
+    every point each subject was bound at, grown in place; ``bound_points``
+    hands out a frozen copy.  Γ has no current view: the walk keeps that."""
 
     def __init__(self):
         self.entries: dict = {}
-        self.latest: dict = {}
         self._points: dict = {}
 
     def bind(self, subject, point: int, ty: Type):
@@ -298,13 +295,6 @@ class TypeEnv:
         else:
             self.entries[key] = ty
             self._points.setdefault(subject, set()).add(point)
-        self.latest[subject] = point
-
-    def current(self, subject) -> Type | None:
-        point = self.latest.get(subject)
-        if point is None:
-            return None
-        return self.entries[(subject, point)]
 
     def at(self, subject, point: int) -> Type | None:
         return self.entries.get((subject, point))
@@ -607,7 +597,9 @@ class _Checker:
     evaluation order, numbering it in Pi with edges from ``last``, the
     bits of the points the walk just left: the point visited before, or
     where case arms or the bodies behind a several-origin application
-    forked from one point, the end of every branch."""
+    forked from one point, the end of every branch.  Only the store is
+    flow-sensitive: ``cells`` maps each internal variable to the point of
+    its current Γ entry, and a fork copies it alone; scopes are shared."""
 
     def __init__(self, program: Occurrence, mutation: str | None, allow_free: bool):
         if mutation is not None and mutation not in MUTATIONS:
@@ -618,8 +610,8 @@ class _Checker:
         self.gamma = TypeEnv()
         self.atoms = Atoms()
         self.type_of: dict = {}
-        self.lams: dict = {}  # abstraction point -> its Abstraction
-        self.lam_scopes: dict = {}
+        self.cells: dict = {}
+        self.lams: dict = {}  # abstraction point -> (its Abstraction, its scope)
         self.claims: dict = {}
         self.active: set = set()
         self.pi = Pi()
@@ -687,8 +679,7 @@ class _Checker:
         return push_atoms(ty, self.atoms.bit((name, p)))
 
     def _abstraction(self, expr: Abstraction, p: int, scope: dict) -> Type:
-        self.lams[p] = expr
-        self.lam_scopes[p] = dict(scope)
+        self.lams[p] = (expr, scope)  # no scope is written in place
         return Arrow(frozenset({p}))
 
     def _let(self, expr: Let, p: int, scope: dict) -> Type:
@@ -719,10 +710,10 @@ class _Checker:
         arg_ty = self.check(arg, scope)
         origins = sorted(fn_ty.origins)
         forked = len(origins) > 1
-        # every branch binds into its own copy, so the fork's state needs none
-        snapshot = self.gamma.latest
+        # every branch writes its own copy of the cells, so the fork's needs none
+        snapshot = self.cells
         start, ends = self.last, 0
-        branch_latests: list = []
+        branch_cells: list = []
         result: Type | None = None
         for lam_point in origins:
             if lam_point in self.active:
@@ -731,13 +722,13 @@ class _Checker:
                 raise LinearityViolation((self.claims[lam_point], fn.point))
             self.claims[lam_point] = fn.point
             if forked:
-                # only one body runs; type each from the same state
-                self.gamma.latest = dict(snapshot)
-            lam = self.lams[lam_point]
+                # only one body runs; type each from the same store
+                self.cells = dict(snapshot)
+            lam, lam_scope = self.lams[lam_point]
             param = lam.param
             recorded = self._binder(param, arg.point, arg_ty)
             self.gamma.bind(param, arg.point, recorded)
-            body_scope = {**self.lam_scopes[lam_point], param: recorded}
+            body_scope = {**lam_scope, param: recorded}
             self.active.add(lam_point)
             self.last = start
             try:
@@ -746,10 +737,10 @@ class _Checker:
                 self.active.discard(lam_point)
             ends |= self.last
             result = body_ty if result is None else type_union(result, body_ty, p)
-            branch_latests.append(self.gamma.latest)
+            branch_cells.append(self.cells)
         self.last = ends
         if forked:
-            self._merge_branches(snapshot, branch_latests, p)
+            self._merge_branches(snapshot, branch_cells, p)
         return push_atoms(result, fn_ty.pending)
 
     def _primitive(self, expr: FunctionalApplication, p: int, scope: dict) -> Type:
@@ -767,6 +758,7 @@ class _Checker:
             raise UnsupportedRefContent(p)
         internal = IVar(p)
         self.gamma.bind(internal, p, Base(init_ty.delta, frozenset({internal})))
+        self.cells[internal] = p
         return Base(init_ty.delta, frozenset({internal}))
 
     def _assign(self, expr: Assign, p: int, scope: dict) -> Type:
@@ -781,6 +773,7 @@ class _Checker:
         stored = Base(target_ty.delta | value_ty.delta, target_ty.kappa)
         for internal in kappa_ivars(target_ty):
             self.gamma.bind(internal, p, stored)
+            self.cells[internal] = p
         return Base(target_ty.delta, frozenset())
 
     def _deref(self, expr: Deref, p: int, scope: dict) -> Type:
@@ -790,7 +783,7 @@ class _Checker:
             raise NonReferenceDeref(p)
         delta = ref_ty.delta
         for internal in internals:
-            delta |= self.gamma.current(internal).delta
+            delta |= self.gamma.entries[(internal, self.cells[internal])].delta
             if self.mutation != "trefread-drop-delta-prime":
                 delta |= self.atoms.bit((internal, p))
         return Base(delta, frozenset())
@@ -798,12 +791,12 @@ class _Checker:
     def _case(self, expr: Case, p: int, scope: dict) -> Type:
         scrutinee = expr.scrutinee
         scrut_ty = self.check(scrutinee, scope)
-        snapshot = self.gamma.latest
+        snapshot = self.cells
         start, ends = self.last, 0
-        branch_latests = []
+        branch_cells = []
         result: Type | None = None
         for pattern, clause in zip(expr.patterns, expr.clauses):
-            self.gamma.latest = dict(snapshot)
+            self.cells = dict(snapshot)
             branch_scope = scope
             kind = type(pattern)
             if kind is PVar:
@@ -819,40 +812,39 @@ class _Checker:
             branch_ty = self.check(clause, branch_scope)
             ends |= self.last
             result = branch_ty if result is None else type_union(result, branch_ty, p)
-            branch_latests.append(self.gamma.latest)
+            branch_cells.append(self.cells)
         self.last = ends
-        self._merge_branches(snapshot, branch_latests, p)
+        self._merge_branches(snapshot, branch_cells, p)
         if self.mutation == "tcase-drop-scrutinee":
             return result
         if isinstance(scrut_ty, Base):
             return push_atoms(result, scrut_ty.delta)
         return push_atoms(result, scrut_ty.pending)
 
-    def _merge_branches(self, snapshot: dict, branch_latests: list, point: int):
-        """Combine the store typings the branches left behind.
+    def _merge_branches(self, snapshot: dict, branch_cells: list, point: int):
+        """Combine the store typings the branches left behind; only cells
+        carry a current entry along the walk.  A cell that existed before
+        the fork and was written on some branch gets a merged entry at the
+        fork's point, the union over what each branch would leave it as,
+        which becomes its current one.  Cells allocated inside one branch
+        keep their single entry."""
 
-        A subject that existed before the case and was rebound on some
-        branch gets a merged entry at the case's point, the union over
-        what each branch would leave it as.  Subjects born inside one
-        branch keep their single entry.
-        """
-
-        merged_latest = dict(snapshot)
-        rebound: set = set()
-        for latest in branch_latests:
-            for subject, pt in latest.items():
-                if subject not in snapshot:
-                    merged_latest.setdefault(subject, pt)
-                elif pt != snapshot[subject]:
-                    rebound.add(subject)
-        self.gamma.latest = merged_latest
-        # every branch started from the snapshot, so its latest has each pre-fork subject
-        for subject in sorted(rebound, key=subject_key):
+        self.cells = merged = dict(snapshot)
+        written: set = set()
+        for cells in branch_cells:
+            for internal, pt in cells.items():
+                if internal not in snapshot:
+                    merged.setdefault(internal, pt)
+                elif pt != snapshot[internal]:
+                    written.add(internal)
+        # every branch started from the snapshot, so it has each pre-fork cell
+        for internal in sorted(written, key=subject_key):
             union: Type | None = None
-            for latest in branch_latests:
-                ty = self.gamma.entries[(subject, latest[subject])]
+            for cells in branch_cells:
+                ty = self.gamma.entries[(internal, cells[internal])]
                 union = ty if union is None else type_union(union, ty, point)
-            self.gamma.bind(subject, point, union)
+            self.gamma.bind(internal, point, union)
+            merged[internal] = point
 
 
 # exact classes: no expression class has subclasses

@@ -378,87 +378,50 @@ def test_json_output_is_stable():
 DATA = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize(
-    "command, source, recorded",
-    [
-        ("eval", "countdown.rf", "countdown.eval.json"),
-        ("eval --trace", "countdown.rf", "countdown.trace.json"),
-        ("eval", "cases8.rf", "cases8.eval.json"),
-        ("check", "cases8.rf", "cases8.check.json"),
-        ("typecheck", "cases8.rf", "cases8.typecheck.json"),
-        ("nifc", "cases8.rf", "cases8.nifc.json"),
-        ("parse", "rebind.rf", "rebind.parse.json"),
-        ("parse", "shapes.rf", "shapes.parse.json"),
-        ("typecheck", "fork.rf", "fork.typecheck.json"),
-        ("check", "fork.rf", "fork.check.json"),
-        ("typecheck", "twocell.rf", "twocell.typecheck.json"),
-        ("check", "twocell.rf", "twocell.check.json"),
-        ("nifc", "twocell.rf", "twocell.nifc.json"),
-    ],
-)
-def test_recorded_json_outputs(command, source, recorded):
-    """[DERIVED] eval --json on an untyped recursive countdown, which
-    revisits binding points, the same with --trace (one record per rule,
-    read off the evaluator's end events), eval --json on cases(8), whose
-    two-arm cases branch and join the realized order, check --json on
-    cases(8), typecheck --json on cases(8) (Pi's edges, Γ and every point's type),
-    nifc --json on cases(8) under its default labeling
-    (tests/data/cases8.labels; the high cell reaches low binders, so nifc
-    exits 1), parse --json on a program that repeats every binder
-    form, shadows names and reads a free x_1, parse --json on a program
-    with every expression and pattern class (shapes.rf), and typecheck --json and
-    check --json on an application of a function with two origins
-    (fork.rf: Pi forks into both bodies and joins after them, and Γ
-    merges the cell's per-body entries), and typecheck, check and nifc
-    --json on a write and reads through a case that yields one of two
-    cells (twocell.rf: the five-member block {p, r1, r2, v4, v7}, a read
-    v4@18, v7@18 of both cells, a write binding both, an arrow with a
-    pending atom, three flows of a high b), print the bytes recorded in
-    tests/data; CI compares a fresh process against the same files."""
-    argv = [*command.split(), "--json", str(DATA / source)]
+RECORDINGS = sorted(path.name for pattern in ("*.*.json", "*.*.txt") for path in DATA.glob(pattern))
+
+
+@pytest.mark.parametrize("recorded", RECORDINGS)
+def test_recorded_output(recorded):
+    """[DERIVED] Each recording tests/data/<program>.<command>.<json|txt>
+    is the bytes the command prints on <program>.rf: ``trace`` stands for
+    eval --trace, a .json recording adds --json, nifc reads the labeling
+    <program>.labels and exits 1, and every other command exits 0.  CI
+    runs the installed command in a fresh process over the same files.
+
+    - countdown, an untyped recursive countdown that revisits binding
+      points: eval --json, and eval --trace --json (one record per rule,
+      read off the evaluator's end events).
+    - cases8, cases(8), whose two-arm cases branch and join the realized
+      order and Pi: eval, eval --trace, typecheck (Pi's edges, Γ and every
+      point's type), check, and nifc under its default labeling (the high
+      cell reaches low binders), as text and as --json.  In
+      cases8.eval.txt a pair lists its atoms by (subject, point), so
+      {h@5, r@9, r@14}, where --json lists them by their string.
+    - fork, an application of a function with two origins (Pi forks into
+      both bodies and joins after them, and Γ merges the cell's per-body
+      entries): typecheck and check as text and as --json, eval and
+      eval --trace as text.
+    - twocell, a write and reads through a case that yields one of two
+      cells (the five-member block {p, r1, r2, v4, v7}, a read v4@18,
+      v7@18 of both cells, a write binding both, an arrow with a pending
+      atom, three flows of a high b): typecheck and check as text and as
+      --json, nifc --json, eval and eval --trace as text.
+    - rebind, which repeats every binder form, shadows names and reads a
+      free x_1: parse --json.
+    - shapes, with every expression class (a pass-through group and the
+      named constants among them) and every pattern class (a nested tuple
+      among them): parse as text and as --json."""
+    program, command, form = recorded.split(".")
+    argv = ["eval", "--trace"] if command == "trace" else [command]
+    if form == "json":
+        argv.append("--json")
+    argv.append(str(DATA / f"{program}.rf"))
     if command == "nifc":
-        argv += ["--labels", str(DATA / source.replace(".rf", ".labels"))]
+        argv += ["--labels", str(DATA / f"{program}.labels")]
     code, out = run_cli(argv)
     assert code == (1 if command == "nifc" else 0)
     assert out == (DATA / recorded).read_text(encoding="utf-8")
-
-
-def test_recorded_nifc_text_output():
-    """[DERIVED] nifc without --json on cases(8) under its default
-    labeling prints the bytes recorded in tests/data/cases8.nifc.txt,
-    the flows in the order of the --json output; CI compares a fresh
-    process against the same file."""
-    argv = ["nifc", str(DATA / "cases8.rf"), "--labels", str(DATA / "cases8.labels")]
-    code, out = run_cli(argv)
-    assert code == 1
-    assert out == (DATA / "cases8.nifc.txt").read_text(encoding="utf-8")
-
-
-def test_recorded_parse_text_output():
-    """[DERIVED] parse without --json on a program with every expression
-    class, a pass-through group and the named constants among them, and
-    every pattern class, a nested tuple among them, prints the bytes
-    recorded in tests/data/shapes.parse.txt; CI compares a fresh process
-    against the same file."""
-    code, out = run_cli(["parse", str(DATA / "shapes.rf")])
-    assert code == 0
-    assert out == (DATA / "shapes.parse.txt").read_text(encoding="utf-8")
-
-
-@pytest.mark.parametrize("source", ["cases8.rf", "fork.rf", "twocell.rf"])
-@pytest.mark.parametrize(
-    "command, suffix",
-    [("eval", "eval"), ("eval --trace", "trace"), ("typecheck", "typecheck"), ("check", "check")],
-)
-def test_recorded_text_outputs(command, suffix, source):
-    """[DERIVED] eval, eval --trace, typecheck and check without --json
-    print the bytes recorded in tests/data/<name>.<suffix>.txt.  In
-    cases8.eval.txt a pair lists its atoms by (subject, point), so
-    {h@5, r@9, r@14}, where --json lists them by their string; CI
-    compares a fresh process against the same files."""
-    code, out = run_cli([*command.split(), str(DATA / source)])
-    assert code == 0
-    assert out == (DATA / source.replace(".rf", f".{suffix}.txt")).read_text(encoding="utf-8")
 
 
 def test_eval_json_content():

@@ -32,6 +32,7 @@ from refflow.syntax import (
     Occurrence,
     PNat,
     PVar,
+    PWildcard,
     Ref,
     Variable,
     parse,
@@ -677,6 +678,22 @@ def test_linear_use_check_matches_reference_on_shadowing_trees():
     assert flagged > 500 and several > 100, (flagged, several)
 
 
+def test_gamma_binds_no_point_the_run_never_binds():
+    """[DERIVED] A hand-built tree that rebinds x inside one case arm,
+    which parse would have renamed apart: (let x 1@2 (let u (case 0@4
+    [0 -> (let x 2@6 x@7)@5, _ -> 3@8])@3 x@9)@10)@1.  The run binds x at
+    1 and 5 only, and so does Γ: names are lexically scoped, so the case
+    merges no entry for x at its point 3.  What a fork does merge, a
+    cell's entry at the fork's point, is pinned by the recordings
+    cases8.typecheck.json, fork.typecheck.json and twocell.typecheck.json
+    in tests/data."""
+    arm = Occurrence(Let("x", Occurrence(Constant(2), 6), Occurrence(Variable("x"), 7)), 5)
+    case = Occurrence(Case(Occurrence(Constant(0), 4), (PNat(0), PWildcard()), (arm, Occurrence(Constant(3), 8))), 3)
+    body = Occurrence(Let("u", case, Occurrence(Variable("x"), 9)), 10)
+    tree = Occurrence(Let("x", Occurrence(Constant(1), 2), body), 1)
+    assert typecheck(tree).gamma.bound_points("x") == {1, 5}
+
+
 # ---------------------------------------------------------------------------
 # Rejections and free variables
 # ---------------------------------------------------------------------------
@@ -749,17 +766,18 @@ def test_tcase_mutation_drops_scrutinee():
 
 
 def _typed_programs() -> list:
-    """The corpus, cases(4/8/20), the recursive programs, every program
-    under tests/data but shapes.rf, which pins the printer and came after
-    the digests below, and programs that read a free h: the flow examples
-    and cases(20) with h left unbound."""
+    """The corpus, cases(4/8/20), the recursive programs, the five programs
+    under tests/data the digests below were recorded on, named so that a
+    new fixture there changes no digest, and programs that read a free h:
+    the flow examples and cases(20) with h left unbound."""
     sources = [gen_program(seed, 1 + seed % 30) for seed in range(1000)]
     sources += [parse(cases_source(n)) for n in (4, 8, 20)]
     sources += [parse(src) for src in (DIRECT_FLOW_SRC, NO_FLOW_SRC, INDIRECT_FLOW_SRC)]
     sources.append(parse(cases_source(20)[cases_source(20).index("(let r"):-1]))
     sources += [parse(src) for src in RECURSIVE_SRCS]
-    sources += [parse(path.read_text(encoding="utf-8"))
-                for path in sorted((Path(__file__).parent / "data").glob("*.rf")) if path.name != "shapes.rf"]
+    data = Path(__file__).parent / "data"
+    sources += [parse((data / f"{name}.rf").read_text(encoding="utf-8"))
+                for name in ("cases8", "countdown", "fork", "rebind", "twocell")]
     return sources
 
 
