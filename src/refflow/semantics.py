@@ -19,6 +19,9 @@ three kinds of edges:
   one, so the bindings of one subject always form a chain and the
   interpretation of a subject is the chain's top.
 
+A ``let rec`` whose bound is an abstraction, also behind pass-through
+groups, ties the knot; any other ``let rec`` binds as a plain let.
+
 Self edges are dropped, and an edge whose addition would close a cycle
 is dropped too; the latter can only be provoked by recursive programs,
 which the type system rejects.  The order is an ``Order``, as the
@@ -71,6 +74,7 @@ from .syntax import (
     Ref,
     Variable,
     _set,
+    _ungrouped,
     show_constant,
 )
 
@@ -510,8 +514,7 @@ class _Evaluator:
         name, bound = expr.name, expr.bound
         bound_value, bound_pair = self.eval(bound, env, incoming)
         bind_point = bound.point
-        # a let rec ties the knot when its bound is an abstraction; else it is a plain let
-        if type(expr) is LetRec and type(bound.expr) is Abstraction and isinstance(bound_value, Closure):
+        if type(expr) is LetRec and type(_ungrouped(bound).expr) is Abstraction and isinstance(bound_value, Closure):
             closure = bound_value
             bound_value = RecClosure(closure.param, closure.body, closure.env, closure.lam_point, name, bind_point)
         self.bind(name, bind_point, bound_value, bound_pair, incoming)

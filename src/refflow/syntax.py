@@ -54,8 +54,9 @@ The nodes are records that generate no code at import: slotted ``Frozen``
 classes with a straight-line ``__init__``, whose equality, hash, repr,
 copies and pickles are read off their field names as a frozen dataclass's.
 
-A node's children (``_CHILDREN``) and its printed shape (``_SHAPES``) are
-tables keyed by exact class; every constant prints through ``show_constant``.
+A node's children (``_CHILDREN``), the names a binder binds in each child
+(``_BINDS``) and its printed shape (``_SHAPES``) are tables keyed by exact
+class; every constant prints through ``show_constant``.
 """
 
 from __future__ import annotations
@@ -634,6 +635,15 @@ _CHILDREN = {
 }
 
 
+# the names a binder binds in each child, in ``_CHILDREN``'s order (none inside a tuple pattern)
+_BINDS = {
+    Abstraction: lambda expr: ((expr.param,),),
+    Let: lambda expr: ((), (expr.name,)),
+    LetRec: lambda expr: ((expr.name,), (expr.name,)),
+    Case: lambda expr: ((), *((pattern.name,) if type(pattern) is PVar else () for pattern in expr.patterns)),
+}
+
+
 def _children(expr: Expression):
     # one rule per class, looked up by exact class: no expression class has subclasses
     try:
@@ -641,6 +651,14 @@ def _children(expr: Expression):
     except KeyError:
         raise TypeError(f"unknown expression {expr!r}") from None
     return children(expr)
+
+
+def _ungrouped(occ: Occurrence) -> Occurrence:
+    """The occurrence behind pass-through group wrappers."""
+
+    while type(occ.expr) is Group:
+        occ = occ.expr.inner
+    return occ
 
 
 def _preorder(tree: Occurrence):
@@ -694,27 +712,15 @@ def parse(source: str) -> Occurrence:
 
 
 def occurs_free(name: str, occ: Occurrence) -> bool:
-    """Whether ``name`` occurs free in the occurrence: one walk with a
-    stack, which skips whatever a binder of ``name`` scopes over (a let's
-    body, a let rec's bound and body, an abstraction's body, the clause
-    of a case's variable pattern)."""
+    """Whether ``name`` occurs free in ``occ``: one stack walk that skips each child a binder of it scopes over."""
 
     stack = [occ]
     while stack:
         expr = stack.pop().expr
-        kind = type(expr)
-        if kind is Variable and expr.name == name:
+        if type(expr) is Variable and expr.name == name:
             return True
-        if kind is Case:
-            stack.append(expr.scrutinee)
-            stack += (
-                clause for pattern, clause in zip(expr.patterns, expr.clauses)
-                if not (type(pattern) is PVar and pattern.name == name)
-            )
-        elif kind is Let and expr.name == name:
-            stack.append(expr.bound)
-        elif not (kind is Abstraction and expr.param == name or kind is LetRec and expr.name == name):
-            stack += _children(expr)
+        children, binds = _children(expr), _BINDS.get(type(expr))
+        stack += children if binds is None else [sub for sub, bound in zip(children, binds(expr)) if name not in bound]
     return False
 
 

@@ -62,9 +62,11 @@ from .syntax import (
     Record,
     Ref,
     Variable,
+    _BINDS,
     _children,
     _preorder,
     _set,
+    _ungrouped,
 )
 from .semantics import Closure, Interned, Location, Order
 
@@ -414,14 +416,6 @@ def ip_type(subject, gamma: TypeEnv, pi: Pi, at: int | None = None) -> frozenset
 # ---------------------------------------------------------------------------
 
 
-def _ungrouped(occ: Occurrence) -> Occurrence:
-    """The occurrence behind pass-through group wrappers."""
-
-    while isinstance(occ.expr, Group):
-        occ = occ.expr.inner
-    return occ
-
-
 def linear_use_check(program: Occurrence) -> tuple:
     """Violations of the linear-abstraction discipline, without raising.
 
@@ -430,30 +424,23 @@ def linear_use_check(program: Occurrence) -> tuple:
     of abstractions that flow through parameters are caught during the
     checking walk instead.  Returns the violations in program order.
 
-    One pre-order loop keeps the names bound to an abstraction and the
-    names whose uses count, each with the use list of its binding; only
-    a let-bound abstraction changes them.  A let rec's own bound counts
-    its uses, a let's does not: a marker between bound and body starts
-    the count.  A marker after the body puts back what the name held, so
-    each node sees what a per-path scope would, also under shadowing.
+    One pre-order loop keeps one map, ``counted``, from a name to the use
+    list of the abstraction a let or let rec bound it to, or to None.  A
+    marker (name, held) before each child ``_BINDS`` binds the name in (a
+    let rec's bound and body, a let's body) puts it in; one after puts back
+    what it held.  On a hand-built tree a parameter, a case variable or a
+    let of another value leaves the map alone and hides no function name
+    (``parse`` renames them apart; hiding it ran 1.5-3.3 times slower).
     """
 
     found: list = []  # violations in pre-order; a use list stands for its binding's
-    fun_names: set = set()
     counted: dict = {}
     stack: list = [program]
     pop = stack.pop
     while stack:
         occ = pop()
-        if type(occ) is tuple:
-            # a marker (name, use list or None, whether it stays a function name)
-            name, uses, keep = occ
-            if uses is None:
-                del counted[name]
-            else:
-                counted[name] = uses
-            if not keep:
-                fun_names.discard(name)
+        if type(occ) is tuple:  # a marker (name, held)
+            counted[occ[0]] = occ[1]
             continue
         expr = occ.expr
         kind = type(expr)  # no expression class has subclasses
@@ -462,22 +449,18 @@ def linear_use_check(program: Occurrence) -> tuple:
             if uses is not None:
                 uses.append(occ.point)
             continue
+        children = _children(expr)[::-1]
         if (kind is Let or kind is LetRec) and type(_ungrouped(expr.bound).expr) is Abstraction:
-            name, uses = expr.name, []
+            name, uses, held = expr.name, [], counted.get(expr.name)
             found.append(uses)
-            stack += ((name, counted.get(name), name in fun_names), expr.body)
-            fun_names.add(name)
-            if kind is LetRec:
-                counted[name] = uses
-            else:
-                stack.append((name, uses, True))
-            stack.append(expr.bound)
+            for child, bound in zip(children, _BINDS[kind](expr)[::-1]):
+                stack += ((name, held), child, (name, uses)) if name in bound else (child,)
             continue
         if kind is Ref:
             init = _ungrouped(expr.init).expr
-            if isinstance(init, Abstraction) or isinstance(init, Variable) and init.name in fun_names:
+            if type(init) is Abstraction or type(init) is Variable and counted.get(init.name) is not None:
                 found.append(AbstractionInRef(occ.point))
-        stack += _children(expr)[::-1]
+        stack += children
     return tuple(
         LinearityViolation(item) if isinstance(item, list) else item
         for item in found
@@ -496,21 +479,14 @@ def program_subjects(program: Occurrence) -> list:
 
     out: set = set()
     for occ in _preorder(program):
-        subjects = _SUBJECTS.get(type(occ.expr))
-        if subjects is not None:
-            out.update(subjects(occ))
+        expr, kind = occ.expr, type(occ.expr)
+        if kind is Variable:
+            out.add(expr.name)
+        elif kind is Ref:
+            out.add(IVar(occ.point))
+        elif kind in _BINDS:
+            out.update(*_BINDS[kind](expr))
     return sorted(out, key=subject_key)
-
-
-# the subjects an occurrence names, by the exact class of its expression
-_SUBJECTS = {
-    Variable: lambda occ: (occ.expr.name,),
-    Abstraction: lambda occ: (occ.expr.param,),
-    Let: lambda occ: (occ.expr.name,),
-    LetRec: lambda occ: (occ.expr.name,),
-    Case: lambda occ: [pattern.name for pattern in occ.expr.patterns if type(pattern) is PVar],
-    Ref: lambda occ: (IVar(occ.point),),
-}
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ hand in the test modules and asserted exactly.
 
 from __future__ import annotations
 
+import functools
 import os
 import subprocess
 import sys
@@ -64,6 +65,16 @@ RECURSIVE_SRCS = (
     r"(let r (ref 1) (let rec g (λn. (case n [0 -> (! r),"
     r" m -> (let k (r := (* (! r) m)) (g (- m 1)))])) (g 5)))",
 )
+
+
+@functools.cache
+def corpus() -> tuple:
+    """The 1000 corpus programs, ``gen_program(seed, 1 + seed % 30)`` for
+    seeds 0-999, built once per run; the trees are immutable, so every
+    test that reads them or a slice of them shares them."""
+    from refflow.agreement import gen_program
+
+    return tuple(gen_program(seed, 1 + seed % 30) for seed in range(1000))
 
 
 @pytest.fixture

@@ -6,8 +6,8 @@ the library's own pinned tests never build.
 
 ``linear_use_check`` carries the names bound to an abstraction and the
 names whose uses count down each path as fresh sets and maps, one pair
-per node; the library keeps one set and one map and restores them with
-markers on its stack.
+per node; the library keeps one map, from a name to its uses, and
+restores it with markers on its stack.
 
 ``DepState``, ``_search`` and ``ip_sem`` keep the realized order as
 successor sets of points and search them; the library keeps one bitset
@@ -65,8 +65,9 @@ from refflow.syntax import (
     Variable,
     _children,
     _preorder,
+    _ungrouped,
 )
-from refflow.typesys import AbstractionInRef, Analysis, Base, IVar, LinearityViolation, Type, TypeEnv, _ungrouped
+from refflow.typesys import AbstractionInRef, Analysis, Base, IVar, LinearityViolation, Type, TypeEnv
 
 
 def linear_use_check(program: Occurrence) -> tuple:
@@ -96,10 +97,11 @@ def linear_use_check(program: Occurrence) -> tuple:
         if isinstance(expr, (Let, LetRec)) and isinstance(_ungrouped(expr.bound).expr, Abstraction):
             uses = []
             found.append(uses)
+            outer = (expr.bound, fun_names, counted)  # a plain let's name is free in its bound
             fun_names = fun_names | {expr.name}
             in_scope = {**counted, expr.name: uses}
             stack.append((expr.body, fun_names, in_scope))
-            stack.append((expr.bound, fun_names, in_scope if isinstance(expr, LetRec) else counted))
+            stack.append((expr.bound, fun_names, in_scope) if isinstance(expr, LetRec) else outer)
             continue
         if isinstance(expr, Ref):
             init = _ungrouped(expr.init).expr

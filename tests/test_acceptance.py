@@ -31,15 +31,10 @@ from conftest import (
     DOUBLE_USE_SRC,
     INDIRECT_FLOW_SRC,
     NO_FLOW_SRC,
+    corpus,
 )
 
 LOC0 = Location(0)
-
-CORPUS_SEEDS = range(1000)
-
-
-def corpus_program(seed: int):
-    return gen_program(seed, 1 + seed % 30)
 
 
 def _verdict(number: int, title: str, ok: bool, detail: str = "") -> None:
@@ -55,8 +50,8 @@ def corpus_reports():
     Returns the reports plus the wall time the runs took."""
     started = time.perf_counter()
     reports = []
-    for seed in CORPUS_SEEDS:
-        reports.append(check_soundness(corpus_program(seed)))
+    for program in corpus():
+        reports.append(check_soundness(program))
     return reports, time.perf_counter() - started
 
 
@@ -162,8 +157,7 @@ def test_criterion_08_mutations_are_caught():
     caught = {}
     for mutation, clause in expected.items():
         caught[mutation] = False
-        for seed in CORPUS_SEEDS:
-            program = corpus_program(seed)
+        for program in corpus():
             try:
                 report = check_soundness(program, mutation=mutation)
             except TypeCheckError:

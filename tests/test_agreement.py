@@ -37,7 +37,7 @@ from refflow.typesys import MUTATIONS, TypeCheckError, typecheck
 
 import reference
 from reference import subterm_at
-from conftest import RECURSIVE_SRCS
+from conftest import RECURSIVE_SRCS, corpus
 from families import cases_source
 
 
@@ -186,8 +186,7 @@ def test_reports_under_every_mutation_pinned():
     message), hash to a pinned digest."""
     rows = []
     for mutation in (None, *MUTATIONS):
-        for seed in range(300):
-            prog = gen_program(seed, 1 + seed % 30)
+        for prog in corpus()[:300]:
             try:
                 rows.append(check_soundness(prog, mutation=mutation).to_dict())
             except TypeCheckError as err:
@@ -260,7 +259,7 @@ def _tampers(program) -> dict:
 
 @functools.lru_cache(maxsize=1)
 def _pinned_programs() -> tuple:
-    programs = [gen_program(seed, 1 + seed % 30) for seed in range(1000)]
+    programs = list(corpus())
     programs += [parse(cases_source(n)) for n in (4, 8, 20)]
     programs += [parse(src) for src in RECURSIVE_SRCS]
     return tuple(programs)
@@ -729,7 +728,7 @@ def test_binding_lemma_matches_the_reference_scan():
     lemma cases, untampered and with every closure swapped for the one
     met before it, the judge's lemma verdict is the reference scan's;
     the swaps fail it on some programs, so the comparison is not vacuous."""
-    programs = [gen_program(seed, 1 + seed % 30) for seed in range(200)]
+    programs = list(corpus()[:200])
     programs += [parse(cases_source(n)) for n in (4, 8)]
     programs += [_lemma_case(name)[0] for name in sorted(LEMMA_CASES)]
     failed = 0

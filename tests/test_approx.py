@@ -17,7 +17,7 @@ from refflow.semantics import evaluate
 from refflow.syntax import parse
 from refflow.typesys import Base, IVar, atom_key, subject_key, typecheck
 
-from conftest import ALIAS_CHAIN_SRC, fresh_python
+from conftest import ALIAS_CHAIN_SRC, corpus, fresh_python
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +173,7 @@ def test_static_artifacts_pinned():
     base, Γ and the per-point types of the 1000 corpus programs and the
     hand programs hash to a pinned digest: any change to the walk's
     order, edges, sites, merges or types moves it."""
-    from refflow.agreement import gen_program
-
-    programs = [gen_program(seed, 1 + seed % 30) for seed in range(1000)]
+    programs = list(corpus())
     programs += [parse(source) for source in HAND_PROGRAMS]
     rows = [_static_row(prog) for prog in programs]
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]

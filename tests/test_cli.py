@@ -411,7 +411,13 @@ def test_recorded_output(recorded):
       free x_1: parse --json.
     - shapes, with every expression class (a pass-through group and the
       named constants among them) and every pattern class (a nested tuple
-      among them): parse as text and as --json."""
+      among them): parse as text and as --json.
+    - grouprec, a let rec whose bound is an abstraction behind a
+      pass-through group, so the run ties the knot through the group:
+      eval and eval --trace as text.
+    - ownbound, a let whose bound stores its own name under ref, where
+      the name is free, so it names no abstraction: typecheck --json and
+      check as text."""
     program, command, form = recorded.split(".")
     argv = ["eval", "--trace"] if command == "trace" else [command]
     if form == "json":

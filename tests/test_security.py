@@ -31,7 +31,7 @@ from refflow.syntax import parse
 from refflow.typesys import Base, IVar, Pi, atom_key, show_atom, typecheck
 
 import reference
-from conftest import DIRECT_FLOW_SRC, INDIRECT_FLOW_SRC, NO_FLOW_SRC
+from conftest import DIRECT_FLOW_SRC, INDIRECT_FLOW_SRC, NO_FLOW_SRC, corpus
 from families import cases_source
 
 H_HIGH = {"h": HIGH}
@@ -184,10 +184,8 @@ def test_origin_sets_need_no_closing():
     hand programs, the reference closure through the internal variables'
     entries adds no atom to any type the checker gave, in ``type_of`` or
     in Γ, for a binding at the type's own point or at the last point."""
-    from refflow.agreement import gen_program
-
     sources = [cases_source(n) for n in (4, 8, 20)] + [source for source, _ in HAND_NIFC]
-    programs = [gen_program(seed, 1 + seed % 30) for seed in range(100)] + [parse(src) for src in sources]
+    programs = [*corpus()[:100], *(parse(src) for src in sources)]
     types = 0
     for prog in programs:
         analysis = typecheck(prog, allow_free=True)
@@ -249,9 +247,7 @@ def test_nifc_verdicts_pinned():
     """[DERIVED] The verdicts' JSON and the expanded origin set at every
     low site, on the 1000 corpus programs and cases(4/8/20) under their
     default labelings and on the hand programs, hash to pinned digests."""
-    from refflow.agreement import gen_program
-
-    programs = [gen_program(seed, 1 + seed % 30) for seed in range(1000)]
+    programs = list(corpus())
     programs += [parse(cases_source(n)) for n in (4, 8, 20)]
     labeled = [(prog, default_labeling(prog)) for prog in programs]
     labeled += [(parse(source), labeling) for source, labeling in HAND_NIFC]
@@ -320,9 +316,7 @@ def test_flow_assembly_matches_the_sort_over_every_key(monkeypatch):
     default labelings, the hand programs and the tie programs; and again
     with every edge taken out of Pi, where the chain reading misses
     flows, so the positions in ``missed`` are compared too."""
-    from refflow.agreement import gen_program
-
-    programs = [gen_program(seed, 1 + seed % 30) for seed in range(1000)]
+    programs = list(corpus())
     programs += [parse(cases_source(n)) for n in (4, 8, 20, 80)]
     labeled = [(prog, default_labeling(prog)) for prog in programs]
     labeled += [(parse(source), labeling) for source, labeling in HAND_NIFC + TIE_NIFC]

@@ -36,7 +36,7 @@ from refflow.semantics import (
 from refflow.syntax import PBool, PNat, PTuple, PVar, PWildcard, parse
 
 import reference
-from conftest import RECURSIVE_SRCS
+from conftest import RECURSIVE_SRCS, corpus
 from families import cases_source
 
 LOC0 = Location(0)
@@ -299,10 +299,8 @@ def test_bound_points_equals_scan_of_w():
     answers what a scan of dom(w) answers, for every subject of 200
     generated runs, for a subject never bound, and for a point bound
     twice."""
-    from refflow.agreement import gen_program
-
-    for seed in range(200):
-        dep = evaluate(gen_program(seed, 1 + seed % 30)).dep
+    for program in corpus()[:200]:
+        dep = evaluate(program).dep
         subjects = {subject for subject, _ in dep.w}
         assert subjects == set(dep.latest)
         for subject in subjects | {"ghost", Location(10**6)}:
@@ -400,9 +398,7 @@ def test_realized_edges_pinned():
     interpretation, over the 1000 corpus programs, cases(4/8/20) and
     untyped recursive programs that revisit points, hash to a pinned
     digest."""
-    from refflow.agreement import gen_program
-
-    programs = [gen_program(seed, 1 + seed % 30) for seed in range(1000)]
+    programs = list(corpus())
     programs += [parse(cases_source(n)) for n in (4, 8, 20)]
     programs += [parse(src) for src in RECURSIVE_SRCS]
     rows = [_realized_row(program) for program in programs]

@@ -38,6 +38,7 @@ from refflow.syntax import (
     Ref,
     SyntaxModuleError,
     Variable,
+    _BINDS,
     _CHILDREN,
     _SHAPES,
     _children,
@@ -48,7 +49,7 @@ from refflow.syntax import (
     pretty,
 )
 
-from conftest import ALIAS_CHAIN_SRC, RECURSIVE_SRCS
+from conftest import ALIAS_CHAIN_SRC, RECURSIVE_SRCS, corpus
 from reference import free_name_table, free_vars, subterm_at
 
 
@@ -197,9 +198,7 @@ def test_occurs_free_matches_the_free_name_table():
     binders all repeat a name, ``occurs_free`` answers for every name of
     the program, and one it never mentions, what the reference's table
     of free names says."""
-    from refflow.agreement import gen_program
-
-    programs = [gen_program(seed, 1 + seed % 30) for seed in range(100)]
+    programs = list(corpus()[:100])
     programs += [parse(src) for src in (*RECURSIVE_SRCS, ALIAS_CHAIN_SRC)] + [_shadowing_tree()]
     checked = 0
     for program in programs:
@@ -220,7 +219,9 @@ def test_occurs_free_matches_the_free_name_table():
 
 def test_rule_tables_cover_every_expression_class():
     """[TRIVIAL] The child enumeration, the printer, the checking walk and
-    the evaluator each have one rule for exactly the expression classes."""
+    the evaluator each have one rule for exactly the expression classes,
+    and the binder scopes one for exactly the binder classes, which names
+    what each child of a sample node sees bound."""
     from refflow.semantics import _EVAL_RULES
     from refflow.typesys import _CHECK_RULES
 
@@ -230,6 +231,14 @@ def test_rule_tables_cover_every_expression_class():
     assert set(_SHAPES) == classes
     assert set(_CHECK_RULES) == classes
     assert set(_EVAL_RULES) == classes
+    assert set(_BINDS) == {Abstraction, Let, LetRec, Case}
+    samples = [parse(source).expr for source in (
+        r"(\x. x)", "(let f 1 f)", "(let rec f 1 f)", "(case 1 [0 -> 1, y -> y, (a, b) -> a, _ -> 2])"
+    )]
+    assert [_BINDS[type(expr)](expr) for expr in samples] == [
+        (("x",),), ((), ("f",)), (("f",), ("f",)), ((), (), ("y",), (), ())
+    ]
+    assert all(len(_BINDS[type(expr)](expr)) == len(_children(expr)) for expr in samples)
 
 
 def _unknown_node_messages() -> tuple:
